@@ -22,7 +22,7 @@ test:
 
 ## The observability layer changes what compiles; test both feature states.
 ## Counters are scoped per `kcv_obs::Recorder`, so the metrics suite runs
-## deliberately multi-threaded — no `exclusive()` serialisation.
+## deliberately multi-threaded.
 test-metrics:
 	$(CARGO) test $(FLAGS) --workspace --features metrics -q -- --test-threads=8
 
@@ -48,16 +48,17 @@ clippy:
 ## evaluates the kernel zero times, keeps its window queries within
 ## grid_points·n·d·ceil(log2 n), and beats the naive product-kernel full
 ## grid by ≥ 10× wall time at the identical bandwidth vector — and
-## the streaming incremental-engine contract: the sliding-
-## window replay's report object is present, its re-selections evaluate
-## the kernel zero times with Fenwick tree updates within
-## (inserts+removes)·ceil(log2 W)·(deg+3), and the replay beats
-## per-arrival recompute-from-scratch by ≥ 10× wall time at the
-## identical final bandwidth — and (schema v7, gates 20-22) the sharded
+## the streaming-engine contract: the sliding-window replay's report
+## object is present, its re-selections evaluate the kernel zero times
+## and spend exactly k·Σ_r |window at re-selection r| window queries
+## (one per cell, recomputed from arrivals, window and cadence), and the
+## replay beats per-arrival recompute-from-scratch by ≥ 10× wall time at
+## the bit-identical final bandwidth — and (gates 20-22) the sharded
 ## serving contract: the report's serving object is present, the service
 ## coalesces bursts and evaluates the kernel zero times service-wide,
 ## and beats a global lock around one stream map by ≥ 4× wall time with
-## per-stream final bandwidths bit-identical
+## per-stream final bandwidths bit-identical (schema v8 writes all four
+## identity-gated bandwidth fields in round-trip form)
 ## (see crates/bench/src/bin/perf_gate.rs).
 perf-gate:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --features metrics \
@@ -78,7 +79,7 @@ scaling:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --bin scaling
 
 ## The streaming replay study (EXPERIMENTS.md STREAM): 10^5 paper-DGP
-## arrivals through the sliding-window incremental engine (W = 10^4) at a
+## arrivals through the sliding-window engine (W = 10^4) at a
 ## sweep of re-selection cadences, against the sampled-and-extrapolated
 ## per-arrival recompute baseline. The binary's own checks (>= 10x at
 ## every cadence >= 64, bit-identical final bandwidth) gate the run;

@@ -20,7 +20,9 @@
 //!   `perf_gate`/`scaling` mains (the measured run's rayon workers are the
 //!   only other allocating threads, and they are *part of* the measured
 //!   run), but not under a multi-threaded test harness. Tests therefore
-//!   assert presence and plausibility of the fields, never tight bounds.
+//!   assert presence and plausibility of the fields, never tight bounds;
+//!   the counters' own tests live alone in `tests/alloc_track.rs`, a
+//!   one-test binary where no concurrent test can reset the peak.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,33 +98,4 @@ pub fn peak_bytes() -> u64 {
 /// own transient peak.
 pub fn reset_peak() {
     PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_track_a_large_allocation() {
-        // Other tests allocate concurrently, so assert monotone effects of
-        // our own allocation only, not exact values.
-        reset_peak();
-        let before = current_bytes();
-        let block: Vec<u8> = vec![0u8; 1 << 20];
-        let during = current_bytes();
-        assert!(during >= before + (1 << 20), "live {before} -> {during}");
-        assert!(peak_bytes() >= during);
-        drop(block);
-        assert!(current_bytes() < during);
-    }
-
-    #[test]
-    fn reset_peak_rebases_to_live() {
-        let block: Vec<u8> = vec![0u8; 1 << 18];
-        reset_peak();
-        // The high-water mark after a reset can never sit below the live
-        // count at reset time minus what has since been freed by others.
-        assert!(peak_bytes() >= current_bytes().saturating_sub(1 << 10) || peak_bytes() > 0);
-        drop(block);
-    }
 }

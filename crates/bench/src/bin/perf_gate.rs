@@ -59,18 +59,20 @@
 //! 17. the schema-v6 top-level `streaming` object is present — the two
 //!     replay gates below read it, so a writer that stops measuring the
 //!     streaming engine must fail here, not pass by absence;
-//! 18. the streaming replay never evaluates the kernel and its Fenwick
-//!     tree updates stay within `(inserts + removes) · ceil(log2 W) ·
-//!     (deg + 3)` — every re-selection is answered from the
-//!     order-statistic moment tree (`O(log W)` node-blocks per update),
-//!     never a neighbour visit;
+//! 18. the streaming replay never evaluates the kernel and does exactly
+//!     the prefix sweep's work at every re-selection: `reselects` equals
+//!     the cadence firings plus the forced final pass, and
+//!     `window_queries == k · Σ_r |window at re-selection r|`, recomputed
+//!     from the report's `arrivals`, `window` and `cadence` — one query per
+//!     `(observation, bandwidth)` cell, not one more or less;
 //! 19. the streaming replay beats the per-arrival recompute-from-scratch
 //!     policy by ≥ 10× wall time while selecting the identical bandwidth
-//!     on the final window (the serialised values compare equal);
+//!     on the final window (the round-trip serialised values compare
+//!     equal, so the bits do);
 //! 20. the schema-v7 top-level `serving` object is present — the two
 //!     service gates below read it, so a writer that stops measuring the
 //!     sharded service must fail here, not pass by absence;
-//! 21. the sharded service answers every stream from the incremental
+//! 21. the sharded service answers every stream from the streaming
 //!     engine — **zero** kernel evaluations service-wide — while its
 //!     workers actually drained requests and coalesced bursts
 //!     (`requests_served > 0`, `coalesced_arrivals > 0`): a service that
@@ -78,9 +80,9 @@
 //!     profiles from scratch (kernel evals) fails;
 //! 22. at `n ≥ 2,000` the sharded service beats the single-global-lock
 //!     baseline by ≥ 4× wall time on the identical per-stream traffic
-//!     while the serialised per-stream `final_bandwidths` arrays compare
-//!     bit-identical — the conflated re-selections must cost throughput
-//!     nothing in selection quality.
+//!     while the round-trip serialised per-stream `final_bandwidths`
+//!     arrays compare equal, i.e. bit-identical — the conflated
+//!     re-selections must cost throughput nothing in selection quality.
 //!
 //! Exits non-zero if any gate fails, printing each gate's verdict and then
 //! naming the failures, so `make verify` and CI fail if a regression
@@ -330,7 +332,7 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         ));
     }
 
-    // --- streaming incremental-engine contracts (PR 9) -------------------
+    // --- streaming-engine contracts --------------------------------------
     // The replay measurements live in the schema-v6 top-level `streaming`
     // object. Since v7 it is no longer the report's final entry — the
     // `serving` object follows it and shares field names (`window`,
@@ -357,18 +359,21 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
     ));
 
     let st = |key: &str| u64_field(streaming, key).unwrap_or(0);
-    let window = st("window");
-    let updates = st("tree_updates");
     let st_evals = st("kernel_evals");
     let reselects = st("reselects");
-    let log2w = (window.max(2) as f64).log2().ceil() as u64;
-    let update_ceiling = (st("inserts") + st("removes")) * log2w * (deg + 3);
+    let queries = st("window_queries");
+    let (want_reselects, window_sum) =
+        replay_reselections(st("arrivals"), st("window"), st("cadence"));
+    let want_queries = k as u64 * window_sum;
     gates.push(Gate::pass_if(
-        "streaming replay: zero kernel evals, tree updates O(log W)",
-        st_evals == 0 && reselects > 0 && updates > 0 && updates <= update_ceiling,
+        "streaming replay: zero kernel evals, exactly k*sum(window) queries",
+        st_evals == 0
+            && want_queries > 0
+            && reselects == want_reselects
+            && queries == want_queries,
         format!(
-            "kernel_evals {st_evals} == 0, reselects {reselects} > 0, \
-             0 < tree_updates {updates} <= (ins+rem)*ceil(log2 W)*(deg+3) = {update_ceiling}"
+            "kernel_evals {st_evals} == 0, reselects {reselects} == {want_reselects}, \
+             window_queries {queries} == k*sum_r |window_r| = {want_queries}"
         ),
     ));
 
@@ -441,6 +446,26 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
     gates
 }
 
+/// The streaming replay's re-selections, recomputed from its settings:
+/// one per cadence firing (every `cadence`-th arrival, once the window
+/// holds the two observations a fit needs) plus the forced final pass.
+/// Returns `(count, Σ_r |window at re-selection r|)`; a malformed report
+/// (zero cadence or window) yields `(0, 0)`.
+fn replay_reselections(arrivals: u64, window: u64, cadence: u64) -> (u64, u64) {
+    if cadence == 0 || window < 2 || arrivals < 2 {
+        return (0, 0);
+    }
+    let held = |t: u64| t.min(window);
+    let (mut count, mut sum) = (1, held(arrivals));
+    for t in (cadence..=arrivals).step_by(cadence as usize) {
+        if held(t) >= 2 {
+            count += 1;
+            sum += held(t);
+        }
+    }
+    (count, sum)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let n = arg_parse(&args, "--n", 2_000usize);
@@ -504,7 +529,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = "{\"version\":7,\"metrics_enabled\":true,\"strategies\":[\
+    const SAMPLE: &str = "{\"version\":8,\"metrics_enabled\":true,\"strategies\":[\
         {\"name\":\"sorted\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
         \"kernel_evals\":90,\"sort_comparisons\":400000}}},\
         {\"name\":\"merged\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
@@ -530,8 +555,8 @@ mod tests {
         \"kernel_evals\":0,\"dim_sweeps\":200,\"window_queries\":400000}}}],\
         \"streaming\":{\"arrivals\":2000,\"window\":500,\"cadence\":64,\
         \"inserts\":2000,\"removes\":1500,\"reselects\":32,\
-        \"tree_updates\":104000,\"kernel_evals\":0,\
-        \"final_bandwidth\":0.052341000000,\"recompute_bandwidth\":0.052341000000,\
+        \"window_queries\":1429200,\"kernel_evals\":0,\
+        \"final_bandwidth\":0.052341,\"recompute_bandwidth\":0.052341,\
         \"wall_seconds\":0.011000000,\"recompute_wall_seconds\":0.420000000},\
         \"serving\":{\"streams\":8,\"arrivals_per_stream\":2000,\"shards\":4,\
         \"window\":256,\"cadence\":50,\"requests_served\":16008,\
@@ -539,8 +564,8 @@ mod tests {
         \"shed_requests\":0,\"reselects\":24,\"lock_reselects\":328,\
         \"kernel_evals\":0,\"wall_seconds\":0.081000000,\
         \"lock_wall_seconds\":0.840000000,\
-        \"final_bandwidths\":[0.052000000000,0.053000000000],\
-        \"lock_final_bandwidths\":[0.052000000000,0.053000000000]}}";
+        \"final_bandwidths\":[0.052,0.30000000000000004],\
+        \"lock_final_bandwidths\":[0.052,0.30000000000000004]}}";
 
     #[test]
     fn strategy_slice_isolates_one_entry() {
@@ -578,10 +603,11 @@ mod tests {
         // Bagged (B = 10, r = 500): work ceiling 500,000 queries; memory
         // ceiling 8 × (256·500 + 64·100 + 65,536) = 1,599,488 bytes.
         // Multi-fast (g = 100, d = 2): query ceiling 100·2,000·2·11 =
-        // 4,400,000; wall ratio 1.5/0.05 = 30×. Streaming (W = 500):
-        // update ceiling (2,000 + 1,500)·9·5 = 157,500; wall ratio
-        // 0.42/0.011 = 38×. Serving: wall ratio 0.84/0.081 = 10.4×,
-        // identical bandwidth arrays.
+        // 4,400,000; wall ratio 1.5/0.05 = 30×. Streaming (W = 500,
+        // cadence 64): 31 firings over windows 64·(1..7) then 24 × 500,
+        // plus the final 500 — 32 re-selections, 100·14,292 = 1,429,200
+        // queries; wall ratio 0.42/0.011 = 38×. Serving: wall ratio
+        // 0.84/0.081 = 10.4×, identical bandwidth arrays.
         let gates = evaluate_gates(SAMPLE, 2_000, 100);
         assert_eq!(gates.len(), 22);
         assert!(gates.iter().all(|g| g.ok == Some(true)), "{:?}", fails(&gates));
@@ -714,7 +740,7 @@ mod tests {
 
     #[test]
     fn version_gate_catches_a_stale_writer() {
-        let bad = SAMPLE.replace("\"version\":7", "\"version\":6");
+        let bad = SAMPLE.replace("\"version\":8", "\"version\":7");
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(fails(&gates), vec!["report schema version matches the gate's"]);
     }
@@ -807,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_update_gate_catches_a_kernel_evaluating_replay() {
+    fn streaming_work_gate_catches_a_kernel_evaluating_replay() {
         let bad = SAMPLE.replace(
             "\"kernel_evals\":0,\"final_bandwidth\"",
             "\"kernel_evals\":7,\"final_bandwidth\"",
@@ -815,20 +841,47 @@ mod tests {
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(
             fails(&gates),
-            vec!["streaming replay: zero kernel evals, tree updates O(log W)"]
+            vec!["streaming replay: zero kernel evals, exactly k*sum(window) queries"]
         );
     }
 
     #[test]
-    fn streaming_update_gate_catches_an_over_budget_tree() {
-        // One rebuild per arrival (or per-moment-slot counting) lands far
-        // above the (ins+rem)·ceil(log2 W)·(deg+3) = 157,500 ceiling.
-        let bad = SAMPLE.replace("\"tree_updates\":104000", "\"tree_updates\":1000000");
+    fn streaming_work_gate_catches_an_off_by_one_query_count() {
+        // The count is exact: one cell too many or too few (a skipped or
+        // doubled observation somewhere in 32 re-selections) fails.
+        for wrong in ["1429199", "1429201"] {
+            let bad = SAMPLE.replace(
+                "\"window_queries\":1429200",
+                &format!("\"window_queries\":{wrong}"),
+            );
+            let gates = evaluate_gates(&bad, 2_000, 100);
+            assert_eq!(
+                fails(&gates),
+                vec!["streaming replay: zero kernel evals, exactly k*sum(window) queries"],
+                "{wrong}"
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_work_gate_catches_a_wrong_reselect_count() {
+        let bad = SAMPLE.replace("\"reselects\":32", "\"reselects\":31");
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(
             fails(&gates),
-            vec!["streaming replay: zero kernel evals, tree updates O(log W)"]
+            vec!["streaming replay: zero kernel evals, exactly k*sum(window) queries"]
         );
+    }
+
+    #[test]
+    fn replay_reselections_counts_firings_and_window_sizes() {
+        // Gate scale: 31 firings + the final pass; 64·(1+…+7) + 24·500 + 500.
+        assert_eq!(replay_reselections(2_000, 500, 64), (32, 14_292));
+        // Cadence 1 cannot fire on a lone observation.
+        assert_eq!(replay_reselections(3, 10, 1), (3, 2 + 3 + 3));
+        // Window never fills: only the forced final pass at n = 60.
+        assert_eq!(replay_reselections(60, 60, 64), (1, 60));
+        assert_eq!(replay_reselections(2_000, 500, 0), (0, 0));
     }
 
     #[test]
@@ -845,9 +898,10 @@ mod tests {
 
     #[test]
     fn streaming_speedup_gate_catches_a_bandwidth_divergence() {
+        // One ulp apart: invisible at 12 decimals, caught in round-trip form.
         let bad = SAMPLE.replace(
-            "\"recompute_bandwidth\":0.052341000000",
-            "\"recompute_bandwidth\":0.052999000000",
+            "\"recompute_bandwidth\":0.052341",
+            "\"recompute_bandwidth\":0.052341000000000006",
         );
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(
@@ -907,10 +961,10 @@ mod tests {
     #[test]
     fn serving_speedup_gate_catches_a_bandwidth_divergence() {
         // Conflation must not change any stream's final selection: one
-        // component drifting in the baseline's array fails the identity.
+        // component one ulp off in the baseline's array fails the identity.
         let bad = SAMPLE.replace(
-            "\"lock_final_bandwidths\":[0.052000000000,0.053000000000]",
-            "\"lock_final_bandwidths\":[0.052000000000,0.054000000000]",
+            "\"lock_final_bandwidths\":[0.052,0.30000000000000004]",
+            "\"lock_final_bandwidths\":[0.052,0.3]",
         );
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(
@@ -939,7 +993,7 @@ mod tests {
         let gates = evaluate_gates(&bad, 2_000, 100);
         let failed = fails(&gates);
         assert!(!failed
-            .contains(&"streaming replay: zero kernel evals, tree updates O(log W)"));
+            .contains(&"streaming replay: zero kernel evals, exactly k*sum(window) queries"));
         assert!(failed.contains(&"serving: zero kernel evals service-wide, bursts coalesced"));
     }
 

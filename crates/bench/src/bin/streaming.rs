@@ -1,5 +1,5 @@
-//! Streaming replay benchmark: the sliding-window incremental engine vs
-//! recompute-from-scratch.
+//! Streaming replay benchmark: the sliding-window engine re-selecting on
+//! a cadence vs recompute-from-scratch at every arrival.
 //!
 //! Replays `--arrivals` paper-DGP observations (default 10⁵) into a
 //! `--window`-capacity [`SlidingWindowSelector`] (default 10⁴, oldest
@@ -20,11 +20,10 @@
 //! stream is contiguous, the slice `x[t−w..t]` holds exactly the
 //! multiset the window would hold at arrival `t`.
 //!
-//! The amortisation curve this produces is the tentpole's pitch: one
-//! incremental re-selection costs a small constant factor more than one
-//! fresh prefix profile on the same window (the Fenwick log-factor per
-//! cell), so the speedup over per-arrival recompute grows roughly
-//! linearly in the cadence.
+//! The amortisation curve this produces: one cadence re-selection *is* a
+//! fresh prefix profile on the same window, so the speedup over
+//! per-arrival recompute is roughly the cadence itself, less the `O(1)`
+//! per-arrival window update.
 //!
 //! Outputs:
 //!

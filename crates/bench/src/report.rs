@@ -13,7 +13,7 @@
 //! snapshots are per-run deltas by construction — immune to any other
 //! instrumented code running concurrently in the process.
 //!
-//! ## Schema (version 7)
+//! ## Schema (version 8)
 //!
 //! Version 2 renamed the per-phase `seconds` field to `cpu_seconds`:
 //! overlapping same-name phase scopes on different rayon workers sum to CPU
@@ -65,14 +65,14 @@
 //!   re-selection cadence 64 arrivals, the same `k`-point **log-spaced**
 //!   grid the scaling study's full runs use). `wall_seconds` is the whole
 //!   replay including every cadence-triggered re-selection plus one forced
-//!   final `reselect`; `recompute_wall_seconds` is the extrapolated cost of
+//!   final re-selection; `recompute_wall_seconds` is the extrapolated cost of
 //!   the recompute-from-scratch policy (a fresh prefix profile on the live
 //!   window at *every* arrival) — timing all `n` recomputes would dwarf
 //!   the report, so the baseline is **sampled at the replay's re-selection
 //!   points and the final window** and scaled to per-arrival cost. The
-//!   streaming perf gates pin `kernel_evals == 0`, the
-//!   `tree_updates ≤ (inserts+removes)·⌈log₂ window⌉·(deg+3)` budget, the
-//!   ≥ 10× wall-time win over the recompute baseline, and
+//!   streaming perf gates pin `kernel_evals == 0`, the exact re-selection
+//!   work (`window_queries`, since version 8), the ≥ 10× wall-time win
+//!   over the recompute baseline, and
 //!   `final_bandwidth == recompute_bandwidth` (serialised form);
 //! * the `scope_enters` counter in every `obs.counters` object: recorder
 //!   scope re-entries inside worker closures. The vendored rayon's
@@ -103,9 +103,22 @@
 //! coalescing-observed contract, and the ≥ 4× throughput win at
 //! bit-identical serialised final bandwidths.
 //!
+//! Version 8 follows the streaming engine's move from a Fenwick moment
+//! tree to a window buffer that re-selects through the prefix sweep:
+//!
+//! * the `streaming` object's `tree_updates` field (and the counter behind
+//!   it) is gone; `window_queries` takes its place — the replay's total
+//!   support-window resolutions, exactly `k ·` the summed window sizes of
+//!   every re-selection, which perf gate 18 recomputes from `arrivals`,
+//!   `window`, `cadence` and the configured `k`;
+//! * `final_bandwidth`, `recompute_bandwidth`, `final_bandwidths` and
+//!   `lock_final_bandwidths` are written in Rust's shortest round-trip
+//!   form (`{:?}`) instead of 12 fixed decimals, so the identity gates 19
+//!   and 22 compare exact bits rather than rounded strings.
+//!
 //! ```json
 //! {
-//!   "version": 6,
+//!   "version": 8,
 //!   "metrics_enabled": true,
 //!   "config": {"n": 1000, "k": 50, "seed": 42, "kernel": "epanechnikov"},
 //!   "strategies": [
@@ -150,7 +163,7 @@
 //!   "streaming": {
 //!     "arrivals": 2000, "window": 500, "cadence": 64,
 //!     "inserts": 2000, "removes": 1500, "reselects": 32,
-//!     "tree_updates": 104000, "kernel_evals": 0,
+//!     "window_queries": 1429200, "kernel_evals": 0,
 //!     "final_bandwidth": 0.052341, "recompute_bandwidth": 0.052341,
 //!     "wall_seconds": 0.011, "recompute_wall_seconds": 0.420
 //!   },
@@ -197,7 +210,10 @@ use std::time::Instant;
 /// Version 7: added the top-level `serving` object (the sharded
 /// multi-stream service vs global-lock baseline measurement perf gates
 /// 20–22 read; see the module-level schema notes).
-pub const REPORT_VERSION: u32 = 7;
+/// Version 8: the `streaming` object's `tree_updates` became
+/// `window_queries`, and the four identity-gated bandwidth fields
+/// serialise in round-trip form (see the module-level schema notes).
+pub const REPORT_VERSION: u32 = 8;
 
 /// The strategies a report covers, in emission order.
 pub const STRATEGIES: [&str; 12] = [
@@ -301,7 +317,7 @@ pub struct ScalingRow {
 
 /// The streaming replay's settings and measurements (schema v6): one
 /// sliding-window pass of the report's paper-DGP sample through the
-/// incremental Fenwick engine, next to the sampled-and-extrapolated
+/// streaming engine, next to the sampled-and-extrapolated
 /// recompute-from-scratch baseline (see the module-level schema notes for
 /// the sampling policy).
 #[derive(Debug, Clone, PartialEq)]
@@ -312,21 +328,22 @@ pub struct StreamingInfo {
     pub window: usize,
     /// Re-selection cadence in arrivals.
     pub cadence: usize,
-    /// `insert` operations applied to the moment tree (= arrivals).
+    /// Observations appended to the window (= arrivals).
     pub inserts: u64,
-    /// `remove` operations applied (evictions: `arrivals − window` once the
-    /// window fills).
+    /// Evictions (`arrivals − window` once the window fills).
     pub removes: u64,
-    /// Completed `reselect()` passes (cadence-triggered plus the forced
-    /// final one), from the `reselects` counter.
+    /// Completed re-selections (cadence-triggered plus the forced final
+    /// one), from the `reselects` counter.
     pub reselects: u64,
-    /// Fenwick node visits, from the `tree_updates` counter. Perf gate 18
-    /// holds this under `(inserts+removes)·⌈log₂ window⌉·(deg+3)`.
-    pub tree_updates: u64,
+    /// Support-window resolutions over the whole replay, from the
+    /// `window_queries` counter: one per `(observation, bandwidth)` cell of
+    /// every re-selection. Perf gate 18 requires exactly `k ·` the summed
+    /// window sizes of every re-selection.
+    pub window_queries: u64,
     /// Kernel evaluations spent by the whole replay — pinned to zero by
     /// perf gate 18.
     pub kernel_evals: u64,
-    /// The bandwidth selected by the forced final `reselect` on the full
+    /// The bandwidth selected by the forced final re-selection on the full
     /// window.
     pub final_bandwidth: f64,
     /// The bandwidth a fresh prefix run selects on the identical final
@@ -344,8 +361,8 @@ pub struct StreamingInfo {
 /// The sharded serving measurement (schema v7): the report's sample
 /// replayed as concurrent streams through `kcv_serve::BandwidthService`
 /// next to the single-global-lock baseline on the identical per-stream
-/// sequences. Perf gate 22 compares the serialised `final_bandwidths`
-/// arrays for bit identity and requires `lock_wall_seconds ≥ 4 ×
+/// sequences. Perf gate 22 compares the serialised (round-trip)
+/// `final_bandwidths` arrays for bit identity and requires `lock_wall_seconds ≥ 4 ×
 /// wall_seconds` at gate scale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingInfo {
@@ -529,9 +546,9 @@ impl PerfReport {
             None => out.push_str("null"),
             Some(st) => out.push_str(&format!(
                 "{{\"arrivals\":{},\"window\":{},\"cadence\":{},\"inserts\":{},\
-                 \"removes\":{},\"reselects\":{},\"tree_updates\":{},\
-                 \"kernel_evals\":{},\"final_bandwidth\":{:.12},\
-                 \"recompute_bandwidth\":{:.12},\"wall_seconds\":{:.9},\
+                 \"removes\":{},\"reselects\":{},\"window_queries\":{},\
+                 \"kernel_evals\":{},\"final_bandwidth\":{:?},\
+                 \"recompute_bandwidth\":{:?},\"wall_seconds\":{:.9},\
                  \"recompute_wall_seconds\":{:.9}}}",
                 st.arrivals,
                 st.window,
@@ -539,7 +556,7 @@ impl PerfReport {
                 st.inserts,
                 st.removes,
                 st.reselects,
-                st.tree_updates,
+                st.window_queries,
                 st.kernel_evals,
                 st.final_bandwidth,
                 st.recompute_bandwidth,
@@ -552,9 +569,9 @@ impl PerfReport {
             None => out.push_str("null"),
             Some(sv) => {
                 let fb: Vec<String> =
-                    sv.final_bandwidths.iter().map(|b| format!("{b:.12}")).collect();
+                    sv.final_bandwidths.iter().map(|b| format!("{b:?}")).collect();
                 let lb: Vec<String> =
-                    sv.lock_final_bandwidths.iter().map(|b| format!("{b:.12}")).collect();
+                    sv.lock_final_bandwidths.iter().map(|b| format!("{b:?}")).collect();
                 out.push_str(&format!(
                     "{{\"streams\":{},\"arrivals_per_stream\":{},\"shards\":{},\
                      \"window\":{},\"cadence\":{},\"requests_served\":{},\
@@ -588,15 +605,13 @@ impl PerfReport {
 }
 
 /// Replays the report's sample as a stream through the sliding-window
-/// incremental engine and measures it against the sampled
+/// streaming engine and measures it against the sampled
 /// recompute-from-scratch prefix baseline (schema v6 `streaming` object).
 ///
 /// The window is `max(n/4, 64)` (capped at `n`) and the re-selection
-/// cadence is 64 arrivals: one incremental `reselect` costs a small
-/// constant factor more than a fresh prefix profile on the same window
-/// (the Fenwick log-factor per cell), so the amortised win over the
-/// recompute-every-arrival policy is roughly `cadence / that factor` —
-/// comfortably past perf gate 19's 10× at cadence 64.
+/// cadence is 64 arrivals: one re-selection *is* a fresh prefix profile
+/// on the window, so the amortised win over the recompute-every-arrival
+/// policy is roughly the cadence — comfortably past perf gate 19's 10×.
 fn measure_streaming(x: &[f64], y: &[f64], k: usize) -> Result<StreamingInfo, String> {
     use kcv_core::cv::SlidingWindowSelector;
     let n = x.len();
@@ -654,7 +669,7 @@ fn measure_streaming(x: &[f64], y: &[f64], k: usize) -> Result<StreamingInfo, St
         inserts: n as u64,
         removes: (n - window) as u64,
         reselects: snap.counter("reselects"),
-        tree_updates: snap.counter("tree_updates"),
+        window_queries: snap.counter("window_queries"),
         kernel_evals: snap.counter("kernel_evals"),
         final_bandwidth: final_opt.bandwidth,
         recompute_bandwidth: recompute.bandwidth,
@@ -977,7 +992,7 @@ mod tests {
         assert!(report.strategies.iter().filter(|s| s.multi.is_some()).count() == 2);
 
         // The streaming replay: n = 120 arrivals into a window of
-        // max(n/4, 64) = 64, so 56 evictions, and the final incremental
+        // max(n/4, 64) = 64, so 56 evictions, and the final window
         // selection lands on the same grid value as the fresh prefix
         // recompute over the identical final window.
         let st = report.streaming.as_ref().unwrap();
@@ -1011,7 +1026,7 @@ mod tests {
         assert_eq!(bits(&sv.final_bandwidths), bits(&sv.lock_final_bandwidths));
 
         let json = report.to_json();
-        assert!(json.starts_with("{\"version\":7,"));
+        assert!(json.starts_with("{\"version\":8,"));
         for name in STRATEGIES {
             assert!(json.contains(&format!("\"name\":\"{name}\"")), "{json}");
         }
@@ -1122,7 +1137,7 @@ mod tests {
                 inserts: 2_000,
                 removes: 1_500,
                 reselects: 32,
-                tree_updates: 104_000,
+                window_queries: 1_429_200,
                 kernel_evals: 0,
                 final_bandwidth: 0.052341,
                 recompute_bandwidth: 0.052341,
@@ -1144,8 +1159,8 @@ mod tests {
                 kernel_evals: 0,
                 wall_seconds: 0.081,
                 lock_wall_seconds: 0.84,
-                final_bandwidths: vec![0.052341, 0.052341],
-                lock_final_bandwidths: vec![0.052341, 0.052341],
+                final_bandwidths: vec![0.052341, 0.1 + 0.2],
+                lock_final_bandwidths: vec![0.052341, 0.1 + 0.2],
             }),
         };
         let json = report.to_json();
@@ -1204,7 +1219,7 @@ mod tests {
         assert_eq!(u64_field(streaming, "inserts"), Some(2_000));
         assert_eq!(u64_field(streaming, "removes"), Some(1_500));
         assert_eq!(u64_field(streaming, "reselects"), Some(32));
-        assert_eq!(u64_field(streaming, "tree_updates"), Some(104_000));
+        assert_eq!(u64_field(streaming, "window_queries"), Some(1_429_200));
         assert_eq!(u64_field(streaming, "kernel_evals"), Some(0));
         assert_eq!(f64_field(streaming, "final_bandwidth"), Some(0.052341));
         assert_eq!(f64_field(streaming, "recompute_bandwidth"), Some(0.052341));
@@ -1226,10 +1241,11 @@ mod tests {
         assert_eq!(u64_field(serving, "kernel_evals"), Some(0));
         assert_eq!(f64_field(serving, "wall_seconds"), Some(0.081));
         assert_eq!(f64_field(serving, "lock_wall_seconds"), Some(0.84));
-        // Gate 22 compares these serialised slices verbatim.
+        // Gate 22 compares these serialised slices verbatim; the
+        // round-trip form keeps the last bit that 12 decimals would drop.
         assert_eq!(
             crate::json::array_field(serving, "final_bandwidths"),
-            Some("[0.052341000000,0.052341000000]")
+            Some("[0.052341,0.30000000000000004]")
         );
         assert_eq!(
             crate::json::array_field(serving, "final_bandwidths"),
@@ -1335,26 +1351,21 @@ mod tests {
         // Schema v6 streaming replay, measured under its own recorder:
         // with n = 60 < the 64-observation window floor the window covers
         // the whole stream (no evictions), the 64-arrival cadence never
-        // fires before the forced final pass, and the incremental engine
-        // answers the grid with zero kernel evaluations inside the
-        // gate-18 tree-update budget.
+        // fires before the forced final pass, and that one re-selection
+        // answers every (obs, bandwidth) cell with one window query and
+        // zero kernel evaluations.
         let st = report.streaming.as_ref().unwrap();
         assert_eq!(st.window, 60);
         assert_eq!(st.removes, 0);
         assert_eq!(st.reselects, 1);
         assert_eq!(st.kernel_evals, 0);
-        let log2w = (64 - (st.window as u64 - 1).leading_zeros()) as u64;
-        assert!(
-            st.tree_updates <= (st.inserts + st.removes) * log2w * 5,
-            "tree_updates {} exceeds the update budget",
-            st.tree_updates
-        );
+        assert_eq!(st.window_queries, n * k);
         assert_eq!(st.final_bandwidth.to_bits(), st.recompute_bandwidth.to_bits());
         // Schema v7 serving replay, measured from the shard workers' own
         // merged recorders: every drained request is counted (8 opens +
         // 8 × 60 arrivals; shutdown closes bypass the queues), the
         // blocking sends shed nothing, the queues were actually observed,
-        // and the whole service answered from the incremental engine
+        // and the whole service answered from the streaming engine
         // without a single kernel evaluation. Burst shapes (and so
         // `coalesced_arrivals`) are timing-dependent — asserted at gate
         // scale by perf gate 21, not here.

@@ -17,7 +17,7 @@
 //! | [`sorted`] | `O(n² log n)` total (`O(n log n + n·deg + k·deg)` per obs.) | [`PolynomialKernel`]s |
 //! | [`merged`] | `O(n log n + n·(n + k·deg))` total (one global argsort) | [`PolynomialKernel`]s, 1-D `x` |
 //! | [`prefix`] | `O(n log n + n·k·(log n + deg²))` total (window queries over prefix moments) | [`PolynomialKernel`]s, 1-D `x` |
-//! | [`incremental`] | `O(log n)` insert/remove, `O(k·(log n + deg²)·n)` reselect (Fenwick moment tree) | [`PolynomialKernel`]s, 1-D `x`, streaming |
+//! | [`incremental`] | `O(1)` push, `O(W log W + W·k·(log W + deg²))` reselect (a `prefix` run over the window) | [`PolynomialKernel`]s, 1-D `x`, streaming |
 //! | [`parallel`] | same as `sorted`, divided across cores | all of the above |
 //!
 //! `sorted` is the paper's first contribution; `merged` goes one step
@@ -44,7 +44,7 @@ pub mod prefix;
 pub mod sorted;
 pub mod sorted_ll;
 
-pub use incremental::{IncrementalSelector, SlidingWindowSelector};
+pub use incremental::SlidingWindowSelector;
 pub use merged::{cv_profile_merged, cv_profile_merged_par};
 pub use naive::{cv_profile_naive, cv_score_single};
 pub use parallel::{cv_profile_naive_par, cv_profile_sorted_par};

@@ -4,7 +4,7 @@ pub use crate::ci::{confidence_band, ConfidenceBand};
 pub use crate::cv::{
     cv_profile_merged, cv_profile_merged_par, cv_profile_naive, cv_profile_naive_par,
     cv_profile_prefix, cv_profile_prefix_par, cv_profile_sorted, cv_profile_sorted_par, CvOptimum,
-    CvProfile, IncrementalSelector, SlidingWindowSelector,
+    CvProfile, SlidingWindowSelector,
 };
 pub use crate::density::{Kde, LscvSelector};
 pub use crate::error::{Error, Result};
@@ -19,6 +19,6 @@ pub use crate::kernels::{
 };
 pub use crate::select::{
     select_bandwidth, BagCombiner, BagEngine, BaggedSelection, BaggedSelector, BagOutcome,
-    BandwidthSelector, GridSpec, IncrementalGridSearch, NaiveGridSearch, NumericCvSelector,
-    NumericMethod, RuleOfThumbSelector, Selection, SortedGridSearch, Strategy, ZoomGridSearch,
+    BandwidthSelector, GridSpec, NaiveGridSearch, NumericCvSelector, NumericMethod,
+    RuleOfThumbSelector, Selection, SortedGridSearch, Strategy, ZoomGridSearch,
 };

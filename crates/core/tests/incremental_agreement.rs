@@ -1,74 +1,32 @@
-//! Property tests for the incremental Fenwick moment-tree engine.
+//! Window-replay tests for the streaming engine.
 //!
-//! The contract under test (DESIGN.md, "incremental" row): after any
-//! interleaved sequence of `insert`/`remove` operations, `reselect()` must
-//! agree with a *fresh* `cv_profile_prefix` run over the live multiset —
-//! identical inclusion classification, scores within the degree-scaled
-//! prefix tolerance documented in PR 4, and a bit-for-bit identical
-//! selected bandwidth. Three hostile regimes are exercised:
+//! The contract under test (DESIGN.md, "incremental" row): at every cadence
+//! firing `t`, `SlidingWindowSelector` returns exactly the optimum a fresh
+//! `cv_profile_prefix` run over the trailing window `x[t−w..t]` selects —
+//! grid index, bandwidth bits, **score bits** and included count — and
+//! between firings it returns nothing. Every polynomial kernel is replayed
+//! through three regimes:
 //!
-//! * random continuous keys with interleaved removals and periodic
-//!   reselects (so both the pending-run and the dead-slot-residue query
-//!   paths fire mid-stream);
-//! * duplicate-heavy streams where every key collides (the closed-form
-//!   duplicate path does all the work);
-//! * boundary-tie lattices where `|x_i − x_l| == h·r` holds exactly at many
-//!   cells, hammering the bisection's tie-breaking.
+//! * continuous keys on `[0, 1)`, occasionally repeating a recent key;
+//! * duplicate-heavy streams whose keys sit on a small lattice;
+//! * exact boundary-tie lattices where `|x_i − x_l| == h·r` holds exactly
+//!   at many cells.
 //!
-//! Knife-edge caveat (shared with `multi_agreement.rs`): when every in-box
-//! neighbour of some observation sits essentially at the support edge, its
-//! leave-one-out denominator vanishes and the moment-differencing roundoff
-//! is amplified arbitrarily — for the fresh prefix run just as much as for
-//! the incremental engine, and the two need not even agree on the *sign*
-//! of such a denominator. Grid points whose minimum positive denominator
-//! mass falls below a threshold are therefore compared on guarded terms
-//! only; the unconditional bit-for-bit selection claim is pinned on
-//! fixed-seed streams with solid mass everywhere (`pinned_*` tests below).
+//! Window sizes and cadences are drawn so the stream wraps the window
+//! several times; dedicated tests pin long wrap-around replays and a
+//! non-finite arrival rejected mid-stream.
 
-use kcv_core::cv::{cv_profile_prefix, CvProfile, IncrementalSelector};
+use kcv_core::cv::{cv_profile_prefix, CvOptimum, SlidingWindowSelector};
+use kcv_core::error::{Error, Result};
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::{polynomial_kernels, PolynomialKernel};
-use kcv_core::util::{approx_eq, SplitMix64};
+use kcv_core::util::SplitMix64;
 use proptest::prelude::*;
 
-/// Below this minimum positive leave-one-out denominator mass, a grid
-/// point is knife-edge and only guarded comparisons apply (same threshold
-/// as `multi_agreement.rs`).
-const MASS_FLOOR: f64 = 1e-2;
-
-/// Degree-scaled score tolerance, matching the prefix sweep's documented
-/// accuracy (PR 4) and the in-module agreement tests.
-fn score_tol(deg: usize) -> (f64, f64) {
-    match deg {
-        0..=2 => (1e-8, 1e-10),
-        3..=4 => (1e-5, 1e-7),
-        _ => (1e-2, 1e-4),
-    }
-}
-
-/// The smallest positive leave-one-out denominator mass across the sample
-/// at one bandwidth, computed directly from kernel weights (the test may
-/// spend kernel evaluations; the engine under test may not).
-fn min_positive_den(xs: &[f64], kernel: &dyn PolynomialKernel, h: f64) -> f64 {
-    let mut min_den = f64::INFINITY;
-    for (i, &xi) in xs.iter().enumerate() {
-        let mut den = 0.0;
-        for (l, &xl) in xs.iter().enumerate() {
-            if l != i {
-                den += kernel.eval((xi - xl) / h);
-            }
-        }
-        if den > 0.0 {
-            min_den = min_den.min(den);
-        }
-    }
-    min_den
-}
-
-/// How the replay draws observations.
+/// How a stream draws its observations.
 enum Draw {
-    /// Continuous keys on `[0, 1)` (occasionally duplicating a live key),
-    /// paper-DGP responses.
+    /// Continuous keys on `[0, 1)` (about one in seven repeats an earlier
+    /// key), paper-DGP responses.
     Continuous,
     /// Keys confined to the lattice `{0, 1/m, …, (m−1)/m}`, paper-DGP
     /// responses: every key collides constantly.
@@ -78,263 +36,191 @@ enum Draw {
     ExactLattice,
 }
 
-/// Replays a seeded interleaved insert/remove stream against the
-/// incremental selector, mirroring it in a plain `Vec`, then returns the
-/// incremental profile, a fresh prefix run over the surviving multiset,
-/// and the surviving regressors.
-fn replay(
-    kernel: &dyn PolynomialKernel,
-    grid: &BandwidthGrid,
-    seed: u64,
-    n_ops: usize,
-    draw: &Draw,
-) -> (CvProfile, CvProfile, Vec<f64>) {
+/// A seeded stream of `n` arrivals.
+fn stream(seed: u64, n: usize, draw: &Draw) -> (Vec<f64>, Vec<f64>) {
     let mut rng = SplitMix64::new(seed);
-    let mut sel = IncrementalSelector::new(kernel, grid.clone());
-    let mut live: Vec<(f64, f64)> = Vec::new();
-    let mut step = 0;
-    // Keep streaming until the op budget is spent AND enough observations
-    // survive for a meaningful profile.
-    while step < n_ops || live.len() < 8 {
+    let mut x: Vec<f64> = Vec::with_capacity(n);
+    let mut y = Vec::with_capacity(n);
+    for _ in 0..n {
         let r = rng.next_f64();
-        if step < n_ops && r < 0.3 && live.len() > 8 {
-            let idx = (rng.next_f64() * live.len() as f64) as usize % live.len();
-            let (xi, yi) = live.swap_remove(idx);
-            assert!(sel.remove(xi, yi), "live observation missing from selector");
-        } else {
-            let (xi, yi) = match draw {
-                Draw::Continuous => {
-                    let xi = if r > 0.85 && !live.is_empty() {
-                        // Duplicate an existing key: exercises pooled-slot
-                        // inserts and the closed-form duplicate scoring.
-                        live[(rng.next_f64() * live.len() as f64) as usize % live.len()].0
-                    } else {
-                        rng.next_f64()
-                    };
-                    (xi, 0.5 * xi + 10.0 * xi * xi + 0.5 * rng.next_f64())
-                }
-                Draw::DuplicatePool(m) => {
-                    let j = (rng.next_f64() * *m as f64) as usize % m;
-                    let xi = j as f64 / *m as f64;
-                    (xi, 0.5 * xi + 10.0 * xi * xi + 0.5 * rng.next_f64())
-                }
-                Draw::ExactLattice => {
-                    let j = (rng.next_f64() * 17.0) as usize % 17;
-                    let k = (rng.next_f64() * 16.0) as usize % 16;
-                    (j as f64 / 16.0, k as f64 / 8.0)
-                }
-            };
-            sel.insert(xi, yi).unwrap();
-            live.push((xi, yi));
-        }
-        // Periodic mid-stream reselect: folds the pending run and compacts
-        // dead slots, so later operations hit the post-fold query path too.
-        if step % 17 == 16 && live.len() >= 2 {
-            sel.reselect().unwrap();
-        }
-        step += 1;
+        let (xi, yi) = match draw {
+            Draw::Continuous => {
+                let xi = if r > 0.85 && !x.is_empty() {
+                    x[(rng.next_f64() * x.len() as f64) as usize % x.len()]
+                } else {
+                    rng.next_f64()
+                };
+                (xi, 0.5 * xi + 10.0 * xi * xi + 0.5 * rng.next_f64())
+            }
+            Draw::DuplicatePool(m) => {
+                let j = (r * *m as f64) as usize % m;
+                let xi = j as f64 / *m as f64;
+                (xi, 0.5 * xi + 10.0 * xi * xi + 0.5 * rng.next_f64())
+            }
+            Draw::ExactLattice => {
+                let j = (r * 17.0) as usize % 17;
+                let k = (rng.next_f64() * 16.0) as usize % 16;
+                (j as f64 / 16.0, k as f64 / 8.0)
+            }
+        };
+        x.push(xi);
+        y.push(yi);
     }
-    let xs: Vec<f64> = live.iter().map(|p| p.0).collect();
-    let ys: Vec<f64> = live.iter().map(|p| p.1).collect();
-    let fresh = cv_profile_prefix(&xs, &ys, grid, kernel).unwrap();
-    let inc = sel.reselect().unwrap();
-    (inc, fresh, xs)
+    (x, y)
 }
 
-/// The shared mass-guarded agreement assertion:
-///
-/// * at solid-mass grid points, inclusion must match exactly and scores
-///   must agree within the documented tolerance;
-/// * the selected bandwidth must be bit-for-bit identical whenever the
-///   fresh profile's optimum is well separated (runner-up beyond the score
-///   tolerance) and every grid point carries solid mass — the generic
-///   case; near-ties fall back to the `multi_agreement.rs`-style check
-///   that the fresh score at the incremental argmin matches the fresh
-///   optimum within tolerance.
-fn check_agreement(
+/// Exact equality of two optima, floats compared by bits.
+fn same_bits(a: &CvOptimum, b: &CvOptimum) -> bool {
+    a.index == b.index
+        && a.bandwidth.to_bits() == b.bandwidth.to_bits()
+        && a.score.to_bits() == b.score.to_bits()
+        && a.included == b.included
+}
+
+/// Pushes every arrival through a fresh window of `capacity` observations
+/// re-selecting every `cadence` arrivals. Non-finite arrivals must be
+/// rejected without touching the window; at every accepted arrival the
+/// push's answer must equal the oracle: `None` off-cadence, and at a
+/// firing the raw argmin of a fresh prefix profile over the trailing
+/// `min(t, capacity)` accepted arrivals, bit for bit (or the same error).
+/// Returns the number of firings checked.
+fn replay_and_check(
     kernel: &dyn PolynomialKernel,
-    inc: &CvProfile,
-    fresh: &CvProfile,
-    xs: &[f64],
-) -> std::result::Result<(), TestCaseError> {
-    prop_assert_eq!(inc.n, fresh.n);
-    let (rel, abs) = score_tol(kernel.coeffs().len() - 1);
-    let mass: Vec<f64> =
-        inc.bandwidths.iter().map(|&h| min_positive_den(xs, kernel, h)).collect();
-    for (m, &mass_m) in mass.iter().enumerate() {
-        if mass_m < MASS_FLOOR {
+    grid: &BandwidthGrid,
+    x: &[f64],
+    y: &[f64],
+    capacity: usize,
+    cadence: usize,
+) -> std::result::Result<usize, TestCaseError> {
+    let mut win = SlidingWindowSelector::new(kernel, grid.clone(), capacity, cadence).unwrap();
+    let (mut ax, mut ay) = (Vec::new(), Vec::new());
+    let mut last: Option<CvOptimum> = None;
+    let mut firings = 0;
+    for (&xi, &yi) in x.iter().zip(y) {
+        let got = win.push(xi, yi);
+        if !(xi.is_finite() && yi.is_finite()) {
+            prop_assert!(
+                matches!(got, Err(Error::NonFiniteData { .. })),
+                "non-finite arrival not rejected: {:?}",
+                got
+            );
+            prop_assert_eq!(win.len(), capacity.min(ax.len()));
             continue;
         }
-        prop_assert!(
-            inc.included[m] == fresh.included[m],
-            "{}: h={} classification diverged ({} vs {}, mass {})",
-            kernel.name(),
-            inc.bandwidths[m],
-            inc.included[m],
-            fresh.included[m],
-            mass_m
-        );
-        prop_assert!(
-            approx_eq(inc.scores[m], fresh.scores[m], rel, abs),
-            "{}: h={} score {} vs {} (mass {})",
-            kernel.name(),
-            inc.bandwidths[m],
-            inc.scores[m],
-            fresh.scores[m],
-            mass_m
-        );
-    }
-    let (a, b) = match (inc.argmin(), fresh.argmin()) {
-        (Ok(a), Ok(b)) => (a, b),
-        (a, b) => {
-            prop_assert!(
-                a.is_err() && b.is_err(),
-                "argmin availability diverged ({})",
-                kernel.name()
-            );
-            return Ok(());
+        ax.push(xi);
+        ay.push(yi);
+        let t = ax.len();
+        let w = t.min(capacity);
+        prop_assert_eq!(win.len(), w);
+        // Cadence 1 cannot fire on the first arrival: a lone observation
+        // has no leave-one-out fit.
+        if t % cadence != 0 || w < 2 {
+            prop_assert!(matches!(got, Ok(None)), "arrival {} fired off-cadence", t);
+            continue;
         }
-    };
-    let solid_everywhere = mass.iter().all(|&m| m >= MASS_FLOOR);
-    let separated = !fresh
-        .scores
-        .iter()
-        .zip(&fresh.included)
-        .enumerate()
-        .any(|(m, (&s, &i))| m != b.index && i > 0 && approx_eq(s, b.score, rel, abs));
-    if solid_everywhere && separated {
-        prop_assert!(
-            a.index == b.index && a.bandwidth.to_bits() == b.bandwidth.to_bits(),
-            "{}: selection not bit-identical (inc h={} vs fresh h={})",
-            kernel.name(),
-            a.bandwidth,
-            b.bandwidth
-        );
-    } else if mass[a.index] >= MASS_FLOOR && mass[b.index] >= MASS_FLOOR {
-        prop_assert!(
-            approx_eq(fresh.scores[a.index], b.score, rel, abs),
-            "{}: incremental argmin {} not a fresh near-optimum ({} vs {})",
-            kernel.name(),
-            a.bandwidth,
-            fresh.scores[a.index],
-            b.score
-        );
+        firings += 1;
+        let want: Result<CvOptimum> =
+            cv_profile_prefix(&ax[t - w..t], &ay[t - w..t], grid, kernel).and_then(|p| p.argmin());
+        match (got, want) {
+            (Ok(Some(a)), Ok(b)) => {
+                prop_assert!(
+                    same_bits(&a, &b),
+                    "{}: arrival {} (window {}): {:?} vs fresh {:?}",
+                    kernel.name(),
+                    t,
+                    w,
+                    a,
+                    b
+                );
+                last = Some(a);
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => {
+                return Err(TestCaseError::fail(format!(
+                    "{}: arrival {t}: window {a:?} vs fresh {b:?}",
+                    kernel.name()
+                )))
+            }
+        }
+        prop_assert_eq!(win.current(), last);
     }
-    Ok(())
+    Ok(firings)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random interleaved insert/remove streams over continuous keys, all
-    /// polynomial kernels.
+    /// Continuous keys, every polynomial kernel.
     #[test]
-    fn interleaved_streams_agree(
+    fn continuous_streams_agree(
         seed in 0u64..10_000,
-        n_ops in 24usize..120,
+        capacity in 8usize..40,
+        cadence in 1usize..12,
+        laps in 1usize..4,
     ) {
         let grid = BandwidthGrid::log(0.05, 1.0, 12).unwrap();
+        let (x, y) = stream(seed, capacity * laps + cadence, &Draw::Continuous);
         for kernel in polynomial_kernels() {
-            let (inc, fresh, xs) = replay(&*kernel, &grid, seed, n_ops, &Draw::Continuous);
-            check_agreement(&*kernel, &inc, &fresh, &xs)?;
+            replay_and_check(&*kernel, &grid, &x, &y, capacity, cadence)?;
         }
     }
 
-    /// Duplicate-saturated streams: keys confined to a small lattice so the
-    /// closed-form duplicate handling carries the whole profile.
+    /// Duplicate-saturated streams: keys confined to a small lattice.
     #[test]
     fn duplicate_heavy_streams_agree(
         seed in 0u64..10_000,
-        n_ops in 30usize..100,
+        capacity in 8usize..40,
+        cadence in 1usize..12,
         pool in 5usize..14,
     ) {
         let grid = BandwidthGrid::log(0.08, 1.0, 10).unwrap();
+        let (x, y) = stream(seed, 3 * capacity, &Draw::DuplicatePool(pool));
         for kernel in polynomial_kernels() {
-            let (inc, fresh, xs) =
-                replay(&*kernel, &grid, seed, n_ops, &Draw::DuplicatePool(pool));
-            check_agreement(&*kernel, &inc, &fresh, &xs)?;
+            replay_and_check(&*kernel, &grid, &x, &y, capacity, cadence)?;
         }
     }
 
     /// Boundary-tie lattices: `x ∈ {j/16}`, `h ∈ {1/8, 1/4, 1/2}`, so
-    /// `|x_i − x_l| == h·r` holds exactly at many cells and the two
-    /// engines' window bisections must break the tie identically.
+    /// `|x_i − x_l| == h·r` holds exactly at many cells.
     #[test]
     fn boundary_tie_lattices_agree(
         seed in 0u64..10_000,
-        n_ops in 24usize..90,
+        capacity in 4usize..30,
+        cadence in 1usize..8,
     ) {
         let grid = BandwidthGrid::from_values(vec![0.125, 0.25, 0.5]).unwrap();
+        let (x, y) = stream(seed, 3 * capacity, &Draw::ExactLattice);
         for kernel in polynomial_kernels() {
-            let (inc, fresh, xs) = replay(&*kernel, &grid, seed, n_ops, &Draw::ExactLattice);
-            check_agreement(&*kernel, &inc, &fresh, &xs)?;
+            replay_and_check(&*kernel, &grid, &x, &y, capacity, cadence)?;
         }
     }
 }
 
-/// Fixed-seed dense streams (n ≈ 300 after removals): every grid point
-/// carries solid denominator mass, so the full unguarded contract must
-/// hold — identical classification at every bandwidth and a bit-for-bit
-/// identical selected bandwidth, for every polynomial kernel.
+/// A long replay wraps the window's ring buffer many times at a cadence
+/// coprime to the capacity, so firings see every head position.
 #[test]
-fn pinned_streams_select_bit_identically() {
-    let grid = BandwidthGrid::log(0.05, 1.0, 12).unwrap();
-    for seed in [7u64, 101, 9001] {
-        for kernel in polynomial_kernels() {
-            let (inc, fresh, xs) = replay(&*kernel, &grid, seed, 450, &Draw::Continuous);
-            for &h in grid.values() {
-                assert!(
-                    min_positive_den(&xs, &*kernel, h) >= MASS_FLOOR,
-                    "pinned stream lost mass at h={h}; pick another seed"
-                );
-            }
-            assert_eq!(inc.included, fresh.included, "{} seed {}", kernel.name(), seed);
-            let a = inc.argmin().unwrap();
-            let b = fresh.argmin().unwrap();
-            assert_eq!(a.index, b.index, "{} seed {}", kernel.name(), seed);
-            assert_eq!(
-                a.bandwidth.to_bits(),
-                b.bandwidth.to_bits(),
-                "{} seed {}: selection not bit-identical",
-                kernel.name(),
-                seed
-            );
-        }
-    }
-}
-
-/// The `boundary_ties.rs` design, streamed: power-of-two lattice with
-/// exact-binary responses stays in exact arithmetic at this size, so the
-/// profiles must match bitwise — scores included — after an insert/remove
-/// detour through a key that is later evicted.
-#[test]
-fn pinned_exact_lattice_matches_bitwise() {
-    let x = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let y = [1.0, 2.0, 1.5, 2.5, 2.0];
-    let grid = BandwidthGrid::from_values(vec![0.25, 0.5]).unwrap();
+fn wrap_around_replays_agree_at_every_firing() {
+    let grid = BandwidthGrid::log(0.02, 1.0, 16).unwrap();
+    let (x, y) = stream(7, 1_200, &Draw::Continuous);
     for kernel in polynomial_kernels() {
-        let mut sel = IncrementalSelector::new(&*kernel, grid.clone());
-        for (&xi, &yi) in x.iter().zip(&y) {
-            sel.insert(xi, yi).unwrap();
-        }
-        // Detour: a transient observation inserted and removed again, so
-        // the final query runs over dead-slot residue.
-        sel.insert(0.375, 9.0).unwrap();
-        sel.reselect().unwrap();
-        assert!(sel.remove(0.375, 9.0));
-        let inc = sel.reselect().unwrap();
-        let fresh = cv_profile_prefix(&x, &y, &grid, &*kernel).unwrap();
-        assert_eq!(inc.included, fresh.included, "{}", kernel.name());
-        for m in 0..grid.len() {
-            assert_eq!(
-                inc.scores[m].to_bits(),
-                fresh.scores[m].to_bits(),
-                "{}: h={} exact-lattice score not bitwise ({} vs {})",
-                kernel.name(),
-                grid.values()[m],
-                inc.scores[m],
-                fresh.scores[m]
-            );
-        }
+        let firings = replay_and_check(&*kernel, &grid, &x, &y, 96, 37).unwrap();
+        assert_eq!(firings, 1_200 / 37, "{}", kernel.name());
+    }
+}
+
+/// A non-finite arrival mid-stream — once while the window fills, once
+/// after it wraps — is rejected without evicting, without ticking the
+/// cadence clock, and without changing any later answer.
+#[test]
+fn rejected_arrivals_leave_later_firings_unchanged() {
+    let grid = BandwidthGrid::log(0.02, 1.0, 16).unwrap();
+    let (mut x, mut y) = stream(11, 400, &Draw::Continuous);
+    x.insert(50, f64::NAN);
+    y.insert(50, 1.0);
+    x.insert(250, 0.5);
+    y.insert(250, f64::INFINITY);
+    for kernel in polynomial_kernels() {
+        let firings = replay_and_check(&*kernel, &grid, &x, &y, 120, 25).unwrap();
+        assert_eq!(firings, 400 / 25, "{}", kernel.name());
     }
 }

@@ -1,9 +1,8 @@
 //! Counter-correctness tests for the observability layer.
 //!
 //! Only compiled with `--features metrics`. Every measured run installs its
-//! own [`kcv_obs::Recorder`], whose counters are private to the run — no
-//! `exclusive()` serialisation against other tests is needed, and the suite
-//! runs correctly on any number of test threads.
+//! own [`kcv_obs::Recorder`], whose counters are private to the run, so the
+//! suite runs correctly on any number of test threads.
 
 #![cfg(feature = "metrics")]
 

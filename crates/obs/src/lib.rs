@@ -148,20 +148,12 @@ pub enum Counter {
     /// multivariate path's cost while its `KernelEvals` stays zero on the
     /// d ≤ 2 hot path — the contrast the multivariate perf gates assert.
     DimSweeps = 9,
-    /// Fenwick-tree node visits performed by the incremental CV engine
-    /// (`kcv-core::cv::incremental`): one increment per tree node touched
-    /// while folding an `insert`/`remove` into the moment tree (including
-    /// the amortised rebuild writes when the key pool compacts/doubles).
-    /// A point update touches `O(log n)` nodes, so over a stream of `U`
-    /// updates into a window of capacity `W` this stays within
-    /// `U·⌈log₂ W⌉·(deg+3)` — the budget perf gate 18 asserts.
-    TreeUpdates = 10,
-    /// Completed `reselect()` passes of the incremental CV engine: one
-    /// increment per full grid re-selection over the live window. The
-    /// sliding-window amortisation story is `reselects ≪ arrivals`; each
-    /// pass runs under a `cv.reselect` phase scope while updates run under
-    /// `cv.update`.
-    Reselects = 11,
+    /// Completed re-selections of the streaming engine
+    /// (`kcv-core::cv::incremental`): one increment per full grid
+    /// re-selection over the live window. The sliding-window amortisation
+    /// story is `reselects ≪ arrivals`; each pass runs under a
+    /// `cv.reselect` phase scope while updates run under `cv.update`.
+    Reselects = 10,
     /// Recorder-scope re-entries performed inside worker closures
     /// ([`Scope::enter`]): the bookkeeping cost of propagating an installed
     /// recorder across a parallel region. Under the vendored rayon's
@@ -170,30 +162,30 @@ pub enum Counter {
     /// per observation — the delta `BENCH_report.json` shows between a
     /// parallel strategy and its sequential twin (whose count is zero: no
     /// scope ever needs re-entering on the calling thread).
-    ScopeEnters = 12,
+    ScopeEnters = 11,
     /// Requests processed by the multi-stream bandwidth service
     /// (`kcv-serve`): one increment per queue entry a shard worker drained
     /// and executed — stream opens, arrivals, and closes alike.
-    RequestsServed = 13,
+    RequestsServed = 12,
     /// Arrivals the service applied as part of a same-stream burst beyond
     /// the first (`burst_len − 1` per coalesced burst): each one rode an
     /// already-drained batch instead of paying its own wakeup, and bursts
     /// that cross re-selection boundaries fund the conflated single
     /// `reselect()` the serving perf gates assert.
-    CoalescedArrivals = 14,
+    CoalescedArrivals = 13,
     /// High-water mark of a shard's bounded request queue (maximum queued
     /// entries observed). **Max-semantics**: recorded via [`record_max`],
     /// so across shards the meaningful aggregate is the maximum, not the
     /// sum — `kcv-serve` merges shard snapshots accordingly.
-    QueueHighWater = 15,
+    QueueHighWater = 14,
     /// Requests rejected with `Overloaded` because a shard's bounded queue
     /// was full — the backpressure contract's visible cost (shed load
     /// instead of unbounded buffering).
-    ShedRequests = 16,
+    ShedRequests = 15,
 }
 
 /// Number of counters (array sizing).
-const NUM_COUNTERS: usize = 17;
+const NUM_COUNTERS: usize = 16;
 
 impl Counter {
     /// Every counter, in serialisation order.
@@ -208,7 +200,6 @@ impl Counter {
         Counter::BinarySearchProbes,
         Counter::BagsRun,
         Counter::DimSweeps,
-        Counter::TreeUpdates,
         Counter::Reselects,
         Counter::ScopeEnters,
         Counter::RequestsServed,
@@ -230,7 +221,6 @@ impl Counter {
             Counter::BinarySearchProbes => "binary_search_probes",
             Counter::BagsRun => "bags_run",
             Counter::DimSweeps => "dim_sweeps",
-            Counter::TreeUpdates => "tree_updates",
             Counter::Reselects => "reselects",
             Counter::ScopeEnters => "scope_enters",
             Counter::RequestsServed => "requests_served",
@@ -342,7 +332,7 @@ mod imp {
     use std::cell::RefCell;
     use std::marker::PhantomData;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+    use std::sync::{Arc, Mutex, OnceLock};
     use std::time::Instant;
 
     /// One counter array plus one phase table. Both the process-wide global
@@ -423,11 +413,6 @@ mod imp {
     fn push_scope(store: Arc<Store>) -> ScopeGuard {
         SCOPES.with(|s| s.borrow_mut().push(store));
         ScopeGuard { installed: true, _not_send: PhantomData }
-    }
-
-    fn exclusive_lock() -> &'static Mutex<()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
     }
 
     /// A scoped metric sink: a private counter array and phase table that
@@ -573,13 +558,6 @@ mod imp {
         global().snapshot()
     }
 
-    pub fn exclusive() -> MutexGuard<'static, ()> {
-        match exclusive_lock().lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// RAII phase scope.
     #[must_use = "the phase is timed until this guard drops"]
     pub struct PhaseGuard {
@@ -652,10 +630,6 @@ mod imp {
     pub fn snapshot() -> Snapshot {
         Snapshot::default()
     }
-
-    /// With metrics off there is no shared state to guard; hand back a unit.
-    #[inline(always)]
-    pub fn exclusive() {}
 
     /// Inert recorder (metrics disabled): installing it does nothing and
     /// its snapshot is always empty.
@@ -830,26 +804,6 @@ pub fn scope() -> Scope {
 #[inline(always)]
 pub const fn enabled() -> bool {
     imp::ENABLED
-}
-
-/// Serialises measured sections that assert on exact **global** counter
-/// values.
-///
-/// Deprecated: install a per-run [`Recorder`] instead — its counters are
-/// private to the run, so no cross-run serialization is needed and tests
-/// can run on as many threads as the harness likes. With metrics disabled
-/// this is a unit value.
-#[deprecated(
-    note = "install a per-run `Recorder` instead of serialising on the global aggregate"
-)]
-#[inline(always)]
-#[allow(clippy::unit_arg)] // the no-op imp's guard is a unit by design
-pub fn exclusive() -> impl Drop + Sized {
-    struct Guard<T>(#[allow(dead_code)] T);
-    impl<T> Drop for Guard<T> {
-        fn drop(&mut self) {}
-    }
-    Guard(imp::exclusive())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! # kcv-serve — the sharded multi-stream bandwidth service
 //!
-//! The ROADMAP's "heavy traffic" front-end over the incremental CV engine:
+//! The ROADMAP's "heavy traffic" front-end over the streaming CV engine:
 //! many concurrent arrival streams, each owning a
 //! [`SlidingWindowSelector`](kcv_core::cv::incremental::SlidingWindowSelector),
 //! multiplexed across a fixed set of worker **shards**.
@@ -18,13 +18,13 @@
 //!   [`BandwidthService::send_blocking`] waits for space when the caller
 //!   prefers lossless replay over latency.
 //! * **Coalescing** — a worker drains whole batches and groups each
-//!   stream's pending arrivals into one tree-update **burst**. With
+//!   stream's pending arrivals into one window-update **burst**. With
 //!   [`ServeConfig::conflate`] on, a burst that crosses one or more
 //!   re-selection boundaries funds a **single** cadence `reselect()` at
 //!   the end of the burst — under load this is where the service's
 //!   throughput over a global-lock stream map comes from, because the
-//!   `O(W·k·(log W + deg²))` re-selection dominates the `O(log W)`
-//!   per-arrival tree update. With `conflate` off the worker re-selects
+//!   `O(W log W + W·k·(log W + deg²))` re-selection dominates the `O(1)`
+//!   per-arrival window update. With `conflate` off the worker re-selects
 //!   exactly when a sequential
 //!   [`SlidingWindowSelector::push`](kcv_core::cv::incremental::SlidingWindowSelector::push)
 //!   would, so
@@ -38,7 +38,7 @@
 //!   remaining request, closes surviving streams, and returns the merged
 //!   [`ServiceReport`].
 //! * **Metrics** — each shard worker installs its own [`kcv_obs::Recorder`]
-//!   scope, so engine counters (`tree_updates`, `reselects`, zero
+//!   scope, so engine counters (`window_queries`, `reselects`, zero
 //!   `kernel_evals`) and the serving counters (`requests_served`,
 //!   `coalesced_arrivals`, `queue_high_water`, `shed_requests`) are
 //!   attributed per shard and merged by [`merge_snapshots`]
