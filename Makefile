@@ -34,10 +34,11 @@ clippy:
 	$(CARGO) clippy $(FLAGS) --workspace --all-targets --features metrics -- -D warnings
 
 ## Counter-based perf gate: asserts from one results/BENCH_report.json read
-## that the merge-sweep's sort comparisons stay O(n log n) with kernel evals
-## matching the sorted sweep's, that the prefix-moment sweep answers every
+## that the prefix-moment sweep's sort comparisons stay O(n log n) (one
+## global argsort, >= 100x below the sorted sweep's), that it answers every
 ## (obs, bandwidth) cell within the n·k·ceil(log2 n) window-query ceiling
-## with zero kernel evals, that the windowed GPU program holds its
+## with zero kernel evals and selects the sorted sweep's bandwidth bit for
+## bit, that the windowed GPU program holds its
 ## memory contract — peak device bytes ≤ 16·n·(deg+2) (no n² term) and
 ## simulated memory transactions ≤ n·k·(2·ceil(log2 n) + 24·(deg+1)), i.e.
 ## O(k·log n) per observation — and that the bagged selector holds its
@@ -57,8 +58,8 @@ clippy:
 ## serving contract: the report's serving object is present, the service
 ## coalesces bursts and evaluates the kernel zero times service-wide,
 ## and beats a global lock around one stream map by ≥ 4× wall time with
-## per-stream final bandwidths bit-identical (schema v8 writes all four
-## identity-gated bandwidth fields in round-trip form)
+## per-stream final bandwidths bit-identical (schema v9 writes every
+## bandwidth field in round-trip form, so every identity gate compares bits)
 ## (see crates/bench/src/bin/perf_gate.rs).
 perf-gate:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --features metrics \
@@ -73,7 +74,7 @@ multi-smoke:
 ## The past-the-paper scaling study (EXPERIMENTS.md SCALE): bagged CV at
 ## n = 10^5..10^7 vs the full-data prefix reference, with the binary's own
 ## acceptance checks as the gate. Writes results/scaling.csv and a
-## schema-v6 BENCH_report.json with the scaling rows (CI uploads both).
+## BENCH_report.json with the scaling rows (CI uploads both).
 ## Full run (full-data reference up to 10^6) takes ~30 s in release.
 scaling:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --bin scaling

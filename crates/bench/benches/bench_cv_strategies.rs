@@ -1,14 +1,14 @@
 //! Ablation: the paper's central complexity claim. The naive grid search is
 //! `O(k·n²)`; the sorted sweep is `O(n² log n)` (k nearly free); the
-//! merge-sweep drops the per-observation sort for `O(n log n + n·(n + k))`;
-//! the prefix-moment sweep drops the per-neighbour scan too, answering each
-//! (obs, bandwidth) cell from global prefix sums in `O(log n + deg²)`; the
-//! parallel variants divide the per-observation work across cores.
+//! prefix-moment sweep drops the per-observation sort and the per-neighbour
+//! scan, answering each (obs, bandwidth) cell from global prefix sums in
+//! `O(log n + deg²)`; the parallel variants divide the per-observation work
+//! across cores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcv_core::cv::{
-    cv_profile_merged, cv_profile_merged_par, cv_profile_naive, cv_profile_prefix,
-    cv_profile_prefix_par, cv_profile_sorted, cv_profile_sorted_par,
+    cv_profile_naive, cv_profile_prefix, cv_profile_prefix_par, cv_profile_sorted,
+    cv_profile_sorted_par,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
@@ -23,8 +23,8 @@ fn bench_strategies(c: &mut Criterion) {
         let s = PaperDgp.sample(n, 42);
         let grid = BandwidthGrid::paper_default(&s.x, 50).unwrap();
         // The naive search is O(k·n²): keep it off the largest size so the
-        // suite stays fast while the sorted-vs-merged contrast at n = 2,000
-        // (the acceptance point for the merge-sweep) is measured.
+        // suite stays fast while the sorted-vs-prefix contrast at n = 2,000
+        // (the perf-gate point) is measured.
         if n <= 1_000 {
             group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
                 b.iter(|| cv_profile_naive(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())
@@ -35,12 +35,6 @@ fn bench_strategies(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("sorted_par", n), &n, |b, _| {
             b.iter(|| cv_profile_sorted_par(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("merged", n), &n, |b, _| {
-            b.iter(|| cv_profile_merged(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("merged_par", n), &n, |b, _| {
-            b.iter(|| cv_profile_merged_par(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("prefix", n), &n, |b, _| {
             b.iter(|| cv_profile_prefix(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())
@@ -63,9 +57,6 @@ fn bench_strategies(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("sorted", k), &k, |b, _| {
             b.iter(|| cv_profile_sorted(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("merged", k), &k, |b, _| {
-            b.iter(|| cv_profile_merged(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("prefix", k), &k, |b, _| {
             b.iter(|| cv_profile_prefix(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())

@@ -1,19 +1,16 @@
 //! Counter-based performance gate over `results/BENCH_report.json`.
 //!
 //! Collects a fresh per-strategy report at a small fixed `(n, k)` point,
-//! writes it to the report path, then re-reads the file ONCE and asserts the
-//! merge-sweep's and the prefix-moment sweep's complexity contracts from the
-//! JSON itself, as a single named gate table:
+//! writes it to the report path, then re-reads the file ONCE and asserts
+//! every engine's complexity contract from the JSON itself, as a single
+//! named gate table. Numbers 2 and 4 belonged to the retired merge-sweep
+//! engine and stay unused so the other numbers keep their meaning:
 //!
-//! 1. `merged` sort comparisons stay `O(n log n)` — hard ceiling
+//! 1. `prefix` sort comparisons stay `O(n log n)` — hard ceiling
 //!    `3 · n · ceil(log2 n)` (one global argsort; a per-observation sort
 //!    would be `Θ(n² log n)` and blow straight through it);
-//! 2. `merged` kernel evaluations equal the sorted sweep's exactly (the
-//!    merge changes how neighbours are *ordered*, never which neighbours
-//!    are *evaluated*);
 //! 3. at `n ≥ 2,000` the sorted sweep spends at least 100× more sort
-//!    comparisons than the merge-sweep;
-//! 4. the sorted and merged strategies select the identical bandwidth;
+//!    comparisons than the prefix sweep;
 //! 5. `prefix` answers every (obs, bandwidth) cell with binary-search window
 //!    queries — counted once per cell, so the count is bounded by
 //!    `n · k · ceil(log2 n)` (a per-neighbour scan has no business here);
@@ -21,7 +18,8 @@
 //!    score comes from prefix-sum differencing, never a neighbour visit;
 //! 7. `prefix` actually ran its window machinery (queries > 0);
 //! 8. `prefix` and `prefix-par` select the same bandwidth as the sorted
-//!    sweep;
+//!    sweep, bit for bit (the report writes bandwidths in round-trip
+//!    form);
 //! 9. `gpu-windowed` device-memory peak stays `O(n)` — hard ceiling
 //!    `16 · n · (deg + 2)` bytes (64n at the default quadratic kernel).
 //!    The classic pipeline's two `n×n` matrices sit at `8n²` and blow
@@ -55,7 +53,7 @@
 //!     budget; a per-neighbour product scan is `Θ(n)` per cell and fails;
 //! 16. at `n ≥ 2,000` `multi-fast` beats `multi-naive` by ≥ 10× wall time
 //!     while selecting the bit-identical bandwidth **vector** (the
-//!     serialised `bandwidths` arrays compare equal);
+//!     round-trip serialised `bandwidths` arrays compare equal);
 //! 17. the schema-v6 top-level `streaming` object is present — the two
 //!     replay gates below read it, so a writer that stops measuring the
 //!     streaming engine must fail here, not pass by absence;
@@ -134,10 +132,9 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         return gates;
     }
 
-    let (sorted, merged, prefix, prefix_par, windowed, bagged, multi_naive, multi_fast) =
+    let (sorted, prefix, prefix_par, windowed, bagged, multi_naive, multi_fast) =
         match (
             strategy_slice(json, "sorted"),
-            strategy_slice(json, "merged"),
             strategy_slice(json, "prefix"),
             strategy_slice(json, "prefix-par"),
             strategy_slice(json, "gpu-windowed"),
@@ -145,12 +142,12 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
             strategy_slice(json, "multi-naive"),
             strategy_slice(json, "multi-fast"),
         ) {
-            (Some(s), Some(m), Some(p), Some(pp), Some(w), Some(b), Some(mn), Some(mf)) => {
-                (s, m, p, pp, w, b, mn, mf)
+            (Some(s), Some(p), Some(pp), Some(w), Some(b), Some(mn), Some(mf)) => {
+                (s, p, pp, w, b, mn, mf)
             }
             _ => {
                 gates.push(Gate::pass_if(
-                    "report lists sorted/merged/prefix/prefix-par/gpu-windowed/bagged/\
+                    "report lists sorted/prefix/prefix-par/gpu-windowed/bagged/\
                      multi-naive/multi-fast strategies",
                     false,
                     "at least one strategy entry is missing from the report".into(),
@@ -166,45 +163,30 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
     let field = |slice: &str, key: &str| u64_field(slice, key).unwrap_or(0);
     let log2n = (n as f64).log2().ceil() as u64;
 
-    // --- merge-sweep contract (PR 3) -----------------------------------
+    // --- one global argsort --------------------------------------------
     let cmp_ceiling = 3 * n as u64 * log2n;
-    let merged_cmps = field(merged, "sort_comparisons");
+    let prefix_cmps = field(prefix, "sort_comparisons");
     gates.push(Gate::pass_if(
-        "merged sort comparisons stay O(n log n)",
-        merged_cmps <= cmp_ceiling,
-        format!("{merged_cmps} <= {cmp_ceiling}"),
-    ));
-
-    let (se, me) = (field(sorted, "kernel_evals"), field(merged, "kernel_evals"));
-    gates.push(Gate::pass_if(
-        "merged kernel evals equal sorted sweep's",
-        me == se,
-        format!("{me} == {se}"),
+        "prefix sort comparisons stay O(n log n)",
+        prefix_cmps <= cmp_ceiling,
+        format!("{prefix_cmps} <= {cmp_ceiling}"),
     ));
 
     let sorted_cmps = field(sorted, "sort_comparisons");
     if n >= 2_000 {
         gates.push(Gate::pass_if(
-            "sorted sweep sorts >= 100x more than merged",
-            sorted_cmps >= 100 * merged_cmps.max(1),
-            format!("{sorted_cmps} >= 100 * {merged_cmps}"),
+            "sorted sweep sorts >= 100x more than prefix",
+            sorted_cmps >= 100 * prefix_cmps.max(1),
+            format!("{sorted_cmps} >= 100 * {prefix_cmps}"),
         ));
     } else {
         gates.push(Gate::skip(
-            "sorted sweep sorts >= 100x more than merged",
+            "sorted sweep sorts >= 100x more than prefix",
             format!("ratio asserted only at n >= 2,000 (n = {n})"),
         ));
     }
 
-    let sb = f64_field(sorted, "bandwidth");
-    let mb = f64_field(merged, "bandwidth");
-    gates.push(Gate::pass_if(
-        "sorted and merged select the same bandwidth",
-        sb.is_some() && sb == mb,
-        format!("{sb:?} == {mb:?}"),
-    ));
-
-    // --- prefix-moment contract (this PR) ------------------------------
+    // --- prefix-moment contract ----------------------------------------
     let query_ceiling = (n * k) as u64 * log2n;
     let prefix_queries = field(prefix, "window_queries");
     gates.push(Gate::pass_if(
@@ -226,12 +208,18 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         format!("{prefix_queries} > 0"),
     ));
 
-    let pb = f64_field(prefix, "bandwidth");
-    let ppb = f64_field(prefix_par, "bandwidth");
+    // Round-trip serialised, so the parsed values carry every bit.
+    let bits = |slice: &str| f64_field(slice, "bandwidth").map(f64::to_bits);
+    let sb = bits(sorted);
     gates.push(Gate::pass_if(
         "prefix strategies select the sorted sweep's bandwidth",
-        sb.is_some() && pb == sb && ppb == sb,
-        format!("prefix {pb:?}, prefix-par {ppb:?} == sorted {sb:?}"),
+        sb.is_some() && bits(prefix) == sb && bits(prefix_par) == sb,
+        format!(
+            "prefix {:?}, prefix-par {:?} == sorted {:?}",
+            f64_field(prefix, "bandwidth"),
+            f64_field(prefix_par, "bandwidth"),
+            f64_field(sorted, "bandwidth")
+        ),
     ));
 
     // --- windowed GPU memory contract (this PR) ------------------------
@@ -529,29 +517,27 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = "{\"version\":8,\"metrics_enabled\":true,\"strategies\":[\
-        {\"name\":\"sorted\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
+    const SAMPLE: &str = "{\"version\":9,\"metrics_enabled\":true,\"strategies\":[\
+        {\"name\":\"sorted\",\"bandwidth\":0.125,\"obs\":{\"counters\":{\
         \"kernel_evals\":90,\"sort_comparisons\":400000}}},\
-        {\"name\":\"merged\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
-        \"kernel_evals\":90,\"sort_comparisons\":35}}},\
-        {\"name\":\"prefix\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
-        \"kernel_evals\":0,\"window_queries\":200000}}},\
-        {\"name\":\"prefix-par\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
-        \"kernel_evals\":0,\"window_queries\":200000}}},\
-        {\"name\":\"gpu-windowed\",\"bandwidth\":0.125000,\
+        {\"name\":\"prefix\",\"bandwidth\":0.125,\"obs\":{\"counters\":{\
+        \"kernel_evals\":0,\"sort_comparisons\":35,\"window_queries\":200000}}},\
+        {\"name\":\"prefix-par\",\"bandwidth\":0.125,\"obs\":{\"counters\":{\
+        \"kernel_evals\":0,\"sort_comparisons\":35,\"window_queries\":200000}}},\
+        {\"name\":\"gpu-windowed\",\"bandwidth\":0.125,\
         \"device_bytes_peak\":58048,\"obs\":{\"counters\":{\
         \"window_queries\":200000,\"mem_transactions\":5600000}}},\
-        {\"name\":\"bagged\",\"bandwidth\":0.120000,\
+        {\"name\":\"bagged\",\"bandwidth\":0.12,\
         \"bagged\":{\"bags\":10,\"bag_size\":500,\"combiner\":\"mean\",\
         \"workers\":8,\"host_bytes_peak\":900000},\"obs\":{\"counters\":{\
         \"kernel_evals\":0,\"window_queries\":500000,\"bags_run\":10}}},\
-        {\"name\":\"multi-naive\",\"bandwidth\":0.125000,\
+        {\"name\":\"multi-naive\",\"bandwidth\":0.125,\
         \"wall_seconds\":1.500000000,\"multi\":{\"dims\":2,\"grid_points\":100,\
-        \"bandwidths\":[0.125000,0.250000]},\"obs\":{\"counters\":{\
+        \"bandwidths\":[0.125,0.25]},\"obs\":{\"counters\":{\
         \"kernel_evals\":790000000,\"window_queries\":0}}},\
-        {\"name\":\"multi-fast\",\"bandwidth\":0.125000,\
+        {\"name\":\"multi-fast\",\"bandwidth\":0.125,\
         \"wall_seconds\":0.050000000,\"multi\":{\"dims\":2,\"grid_points\":100,\
-        \"bandwidths\":[0.125000,0.250000]},\"obs\":{\"counters\":{\
+        \"bandwidths\":[0.125,0.25]},\"obs\":{\"counters\":{\
         \"kernel_evals\":0,\"dim_sweeps\":200,\"window_queries\":400000}}}],\
         \"streaming\":{\"arrivals\":2000,\"window\":500,\"cadence\":64,\
         \"inserts\":2000,\"removes\":1500,\"reselects\":32,\
@@ -572,8 +558,8 @@ mod tests {
         let sorted = strategy_slice(SAMPLE, "sorted").unwrap();
         assert!(sorted.contains("\"sort_comparisons\":400000"));
         assert!(!sorted.contains("\"sort_comparisons\":35"));
-        let merged = strategy_slice(SAMPLE, "merged").unwrap();
-        assert_eq!(u64_field(merged, "sort_comparisons"), Some(35));
+        let prefix = strategy_slice(SAMPLE, "prefix").unwrap();
+        assert_eq!(u64_field(prefix, "sort_comparisons"), Some(35));
         assert!(strategy_slice(SAMPLE, "gpu-sim").is_none());
     }
 
@@ -589,10 +575,10 @@ mod tests {
 
     #[test]
     fn field_parsers_read_numbers() {
-        let merged = strategy_slice(SAMPLE, "merged").unwrap();
-        assert_eq!(u64_field(merged, "kernel_evals"), Some(90));
-        assert_eq!(f64_field(merged, "bandwidth"), Some(0.125));
-        assert_eq!(u64_field(merged, "missing"), None);
+        let sorted = strategy_slice(SAMPLE, "sorted").unwrap();
+        assert_eq!(u64_field(sorted, "kernel_evals"), Some(90));
+        assert_eq!(f64_field(sorted, "bandwidth"), Some(0.125));
+        assert_eq!(u64_field(sorted, "missing"), None);
     }
 
     #[test]
@@ -609,7 +595,7 @@ mod tests {
         // queries; wall ratio 0.42/0.011 = 38×. Serving: wall ratio
         // 0.84/0.081 = 10.4×, identical bandwidth arrays.
         let gates = evaluate_gates(SAMPLE, 2_000, 100);
-        assert_eq!(gates.len(), 22);
+        assert_eq!(gates.len(), 20);
         assert!(gates.iter().all(|g| g.ok == Some(true)), "{:?}", fails(&gates));
     }
 
@@ -627,9 +613,9 @@ mod tests {
     #[test]
     fn kernel_eval_gate_catches_a_scanning_prefix() {
         let bad = SAMPLE.replace(
-            "{\"name\":\"prefix\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
+            "{\"name\":\"prefix\",\"bandwidth\":0.125,\"obs\":{\"counters\":{\
              \"kernel_evals\":0",
-            "{\"name\":\"prefix\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
+            "{\"name\":\"prefix\",\"bandwidth\":0.125,\"obs\":{\"counters\":{\
              \"kernel_evals\":7",
         );
         let gates = evaluate_gates(&bad, 2_000, 100);
@@ -649,12 +635,30 @@ mod tests {
     #[test]
     fn bandwidth_gate_catches_a_prefix_disagreement() {
         let bad = SAMPLE.replacen(
-            "{\"name\":\"prefix\",\"bandwidth\":0.125000",
-            "{\"name\":\"prefix\",\"bandwidth\":0.250000",
+            "{\"name\":\"prefix\",\"bandwidth\":0.125",
+            "{\"name\":\"prefix\",\"bandwidth\":0.25",
             1,
         );
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(fails(&gates), vec!["prefix strategies select the sorted sweep's bandwidth"]);
+    }
+
+    #[test]
+    fn bandwidth_gate_catches_a_one_ulp_prefix_disagreement() {
+        // One ulp above 0.125: identical at 12 decimals, different bits.
+        for name in ["prefix", "prefix-par"] {
+            let bad = SAMPLE.replacen(
+                &format!("{{\"name\":\"{name}\",\"bandwidth\":0.125,"),
+                &format!("{{\"name\":\"{name}\",\"bandwidth\":0.12500000000000003,"),
+                1,
+            );
+            let gates = evaluate_gates(&bad, 2_000, 100);
+            assert_eq!(
+                fails(&gates),
+                vec!["prefix strategies select the sorted sweep's bandwidth"],
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -740,7 +744,7 @@ mod tests {
 
     #[test]
     fn version_gate_catches_a_stale_writer() {
-        let bad = SAMPLE.replace("\"version\":8", "\"version\":7");
+        let bad = SAMPLE.replace("\"version\":9", "\"version\":8");
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(fails(&gates), vec!["report schema version matches the gate's"]);
     }
@@ -784,7 +788,19 @@ mod tests {
         // First occurrence is multi-naive's vector: any componentwise
         // drift between the serialised arrays must fail, even when the
         // scalar dimension-1 `bandwidth` fields still agree.
-        let bad = SAMPLE.replacen("[0.125000,0.250000]", "[0.125000,0.260000]", 1);
+        let bad = SAMPLE.replacen("[0.125,0.25]", "[0.125,0.26]", 1);
+        let gates = evaluate_gates(&bad, 2_000, 100);
+        assert_eq!(
+            fails(&gates),
+            vec!["multi-fast beats multi-naive >= 10x on the identical optimum"]
+        );
+    }
+
+    #[test]
+    fn multi_speedup_gate_catches_a_one_ulp_vector_component() {
+        // One ulp above 0.25 in multi-naive's second component: identical
+        // at 12 decimals, different bits.
+        let bad = SAMPLE.replacen("[0.125,0.25]", "[0.125,0.25000000000000006]", 1);
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(
             fails(&gates),
@@ -814,12 +830,19 @@ mod tests {
     }
 
     #[test]
-    fn merged_gates_still_guard_the_pr3_contract() {
-        let bad = SAMPLE.replace("\"sort_comparisons\":35", "\"sort_comparisons\":9999999");
+    fn sort_gates_catch_a_per_observation_sort_in_prefix() {
+        // A prefix sweep that sorted per observation would count
+        // Θ(n² log n) comparisons: far over 3·n·ceil(log2 n) = 66,000 and
+        // within 100× of the sorted sweep's 400,000.
+        let bad = SAMPLE.replacen("\"sort_comparisons\":35", "\"sort_comparisons\":9999999", 1);
         let gates = evaluate_gates(&bad, 2_000, 100);
-        let failed = fails(&gates);
-        assert!(failed.contains(&"merged sort comparisons stay O(n log n)"));
-        assert!(failed.contains(&"sorted sweep sorts >= 100x more than merged"));
+        assert_eq!(
+            fails(&gates),
+            vec![
+                "prefix sort comparisons stay O(n log n)",
+                "sorted sweep sorts >= 100x more than prefix"
+            ]
+        );
     }
 
     #[test]

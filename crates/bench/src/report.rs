@@ -13,7 +13,7 @@
 //! snapshots are per-run deltas by construction — immune to any other
 //! instrumented code running concurrently in the process.
 //!
-//! ## Schema (version 8)
+//! ## Schema (version 9)
 //!
 //! Version 2 renamed the per-phase `seconds` field to `cpu_seconds`:
 //! overlapping same-name phase scopes on different rayon workers sum to CPU
@@ -116,9 +116,19 @@
 //!   form (`{:?}`) instead of 12 fixed decimals, so the identity gates 19
 //!   and 22 compare exact bits rather than rounded strings.
 //!
+//! Version 9 follows the retirement of the merge-sweep engine:
+//!
+//! * the two merge-sweep strategy entries (sequential and parallel) are
+//!   gone;
+//! * every remaining bandwidth — each strategy's `bandwidth`, the `multi`
+//!   object's `bandwidths`, and the scaling rows' `bagged_bandwidth` and
+//!   `full_bandwidth` — and each strategy's `score` are written in
+//!   round-trip form (`{:?}`), so the identity gates 8 and 16 compare
+//!   exact bits too.
+//!
 //! ```json
 //! {
-//!   "version": 8,
+//!   "version": 9,
 //!   "metrics_enabled": true,
 //!   "config": {"n": 1000, "k": 50, "seed": 42, "kernel": "epanechnikov"},
 //!   "strategies": [
@@ -181,8 +191,8 @@
 //! ```
 
 use kcv_core::cv::{
-    cv_profile_merged, cv_profile_merged_par, cv_profile_naive, cv_profile_prefix,
-    cv_profile_prefix_par, cv_profile_sorted, cv_profile_sorted_par,
+    cv_profile_naive, cv_profile_prefix, cv_profile_prefix_par, cv_profile_sorted,
+    cv_profile_sorted_par,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
@@ -213,15 +223,15 @@ use std::time::Instant;
 /// Version 8: the `streaming` object's `tree_updates` became
 /// `window_queries`, and the four identity-gated bandwidth fields
 /// serialise in round-trip form (see the module-level schema notes).
-pub const REPORT_VERSION: u32 = 8;
+/// Version 9: the two merge-sweep strategies are gone, and every
+/// remaining bandwidth field serialises in round-trip form.
+pub const REPORT_VERSION: u32 = 9;
 
 /// The strategies a report covers, in emission order.
-pub const STRATEGIES: [&str; 12] = [
+pub const STRATEGIES: [&str; 10] = [
     "naive",
     "sorted",
     "parallel",
-    "merged",
-    "merged-par",
     "prefix",
     "prefix-par",
     "gpu-sim",
@@ -485,8 +495,7 @@ impl PerfReport {
                 )
             });
             let multi = s.multi.as_ref().map_or("null".to_string(), |m| {
-                let bw: Vec<String> =
-                    m.bandwidths.iter().map(|b| format!("{b:.12}")).collect();
+                let bw: Vec<String> = m.bandwidths.iter().map(|b| format!("{b:?}")).collect();
                 format!(
                     "{{\"dims\":{},\"grid_points\":{},\"bandwidths\":[{}]}}",
                     m.dims,
@@ -495,7 +504,7 @@ impl PerfReport {
                 )
             });
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"bandwidth\":{:.12},\"score\":{:.12},\
+                "{{\"name\":\"{}\",\"bandwidth\":{:?},\"score\":{:?},\
                  \"wall_seconds\":{:.9},\"simulated_seconds\":{sim},\
                  \"device_bytes_peak\":{peak},\"bagged\":{bagged},\
                  \"multi\":{multi},\"obs\":{}}}",
@@ -519,7 +528,7 @@ impl PerfReport {
                 .map_or("null".to_string(), |v| v.to_string());
             let fb = r
                 .full_bandwidth
-                .map_or("null".to_string(), |v| format!("{v:.12}"));
+                .map_or("null".to_string(), |v| format!("{v:?}"));
             let fs = r
                 .full_score
                 .map_or("null".to_string(), |v| format!("{v:.12}"));
@@ -529,7 +538,7 @@ impl PerfReport {
             out.push_str(&format!(
                 "{{\"n\":{},\"bags\":{},\"bag_size\":{},\"combiner\":\"{}\",\
                  \"bagged_wall_seconds\":{:.9},\"bagged_host_bytes_peak\":{},\
-                 \"bagged_bandwidth\":{:.12},\"full_wall_seconds\":{fw},\
+                 \"bagged_bandwidth\":{:?},\"full_wall_seconds\":{fw},\
                  \"full_host_bytes_peak\":{fp},\"full_bandwidth\":{fb},\
                  \"full_score\":{fs},\"bagged_regret\":{rg}}}",
                 r.n,
@@ -826,18 +835,6 @@ pub fn collect_report(config: ReportConfig) -> Result<PerfReport, String> {
                 let o = p.argmin().map_err(|e| e.to_string())?;
                 (o.bandwidth, o.score, None, None)
             }
-            "merged" => {
-                let p = cv_profile_merged(&s.x, &s.y, &grid, &Epanechnikov)
-                    .map_err(|e| e.to_string())?;
-                let o = p.argmin().map_err(|e| e.to_string())?;
-                (o.bandwidth, o.score, None, None)
-            }
-            "merged-par" => {
-                let p = cv_profile_merged_par(&s.x, &s.y, &grid, &Epanechnikov)
-                    .map_err(|e| e.to_string())?;
-                let o = p.argmin().map_err(|e| e.to_string())?;
-                (o.bandwidth, o.score, None, None)
-            }
             "prefix" => {
                 let p = cv_profile_prefix(&s.x, &s.y, &grid, &Epanechnikov)
                     .map_err(|e| e.to_string())?;
@@ -958,10 +955,10 @@ mod tests {
             assert!(s.bandwidth > 0.0);
             assert!(s.wall_seconds >= 0.0);
         }
-        let classic = &report.strategies[7];
+        let classic = &report.strategies[5];
         assert_eq!(classic.name, "gpu-sim");
         assert!(classic.simulated_seconds.unwrap() > 0.0);
-        let windowed = &report.strategies[8];
+        let windowed = &report.strategies[6];
         assert_eq!(windowed.name, "gpu-windowed");
         assert!(windowed.simulated_seconds.unwrap() > 0.0);
         // The windowed program's whole point: a fraction of the classic
@@ -1026,7 +1023,7 @@ mod tests {
         assert_eq!(bits(&sv.final_bandwidths), bits(&sv.lock_final_bandwidths));
 
         let json = report.to_json();
-        assert!(json.starts_with("{\"version\":8,"));
+        assert!(json.starts_with("{\"version\":9,"));
         for name in STRATEGIES {
             assert!(json.contains(&format!("\"name\":\"{name}\"")), "{json}");
         }
@@ -1095,7 +1092,7 @@ mod tests {
                     multi: Some(MultiInfo {
                         dims: 2,
                         grid_points: 100,
-                        bandwidths: vec![0.104, 0.088],
+                        bandwidths: vec![0.104, 0.1 + 0.2],
                     }),
                     obs,
                 },
@@ -1183,9 +1180,11 @@ mod tests {
         let mfast = strategy_slice(&json, "multi-fast").unwrap();
         assert_eq!(u64_field(mfast, "dims"), Some(2));
         assert_eq!(u64_field(mfast, "grid_points"), Some(100));
+        // Gate 16 compares these serialised slices verbatim; the
+        // round-trip form keeps the last bit that 12 decimals would drop.
         assert_eq!(
             crate::json::array_field(mfast, "bandwidths"),
-            Some("[0.104000000000,0.088000000000]")
+            Some("[0.104,0.30000000000000004]")
         );
         assert!(mfast.contains("\"bagged\":null"));
 
@@ -1281,14 +1280,12 @@ mod tests {
         let sorted = by_name("sorted");
         assert!(sorted.counter("kernel_evals") <= n * (n - 1));
         assert!(sorted.counter("sort_comparisons") > 0);
-        // The merge-sweep walks the same support as the sorted sweep but
-        // replaces the per-observation sorts with one global argsort.
-        let merged = by_name("merged");
-        assert_eq!(merged.counter("kernel_evals"), sorted.counter("kernel_evals"));
-        assert!(merged.counter("sort_comparisons") < sorted.counter("sort_comparisons"));
-        // The prefix sweep answers every (obs, bandwidth) cell with exactly
+        // The prefix sweep replaces the per-observation sorts with one
+        // global argsort, answers every (obs, bandwidth) cell with exactly
         // one window query and touches no neighbours at all.
         let prefix = by_name("prefix");
+        assert!(prefix.counter("sort_comparisons") > 0);
+        assert!(prefix.counter("sort_comparisons") < sorted.counter("sort_comparisons"));
         assert_eq!(prefix.counter("window_queries"), n * k);
         assert_eq!(prefix.counter("kernel_evals"), 0);
         let prefix_par = by_name("prefix-par");
@@ -1334,10 +1331,10 @@ mod tests {
         // parallel sweep still records exactly the sequential sweep's
         // kernel evaluations.
         let workers = std::thread::available_parallelism().map_or(1, |w| w.get()) as u64;
-        for seq in ["naive", "sorted", "merged", "prefix"] {
+        for seq in ["naive", "sorted", "prefix"] {
             assert_eq!(by_name(seq).counter("scope_enters"), 0, "{seq}");
         }
-        for par in ["parallel", "merged-par", "prefix-par"] {
+        for par in ["parallel", "prefix-par"] {
             let enters = by_name(par).counter("scope_enters");
             assert!(
                 (1..=workers.min(n)).contains(&enters),

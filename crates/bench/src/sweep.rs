@@ -41,8 +41,8 @@ pub struct SweepRow {
 }
 
 /// Runs the Figure-1/Table-I sweep: all programs (the paper's four plus
-/// the merge-sweep and prefix-moment variants, and the `d = 2` "Multi
-/// fast" full-grid selector chained after the univariate eight) over the
+/// the prefix-moment, windowed-GPU and bagged variants, and the `d = 2`
+/// "Multi fast" full-grid selector chained after the univariate seven) over the
 /// paper's sample sizes up to `max_n`, `k` grid bandwidths, `reps`
 /// repetitions, `nmulti` optimiser restarts. Sizes are generated from the
 /// paper DGP with a fixed seed per `n`.
@@ -107,8 +107,8 @@ mod tests {
     #[test]
     fn small_figure1_sweep_produces_all_cells() {
         let rows = figure1_sweep(100, 10, 1, 1);
-        // 2 sizes × (8 univariate programs + the chained Multi fast run).
-        assert_eq!(rows.len(), 18);
+        // 2 sizes × (7 univariate programs + the chained Multi fast run).
+        assert_eq!(rows.len(), 16);
         assert!(rows.iter().all(|r| r.wall_seconds >= 0.0));
         assert_eq!(rows.iter().filter(|r| r.program == Program::MultiFast).count(), 2);
         assert!(rows

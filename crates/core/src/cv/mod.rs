@@ -9,26 +9,24 @@
 //! with `ĝ_{-i}` the leave-one-out Nadaraya–Watson estimator (Eq. 2) and
 //! `M(X_i)` the indicator that its denominator is non-zero.
 //!
-//! Six evaluation strategies compute the profile `{CV_lc(h) : h ∈ grid}`:
+//! Five evaluation strategies compute the profile `{CV_lc(h) : h ∈ grid}`:
 //!
 //! | module | complexity | applies to |
 //! |---|---|---|
 //! | [`naive`] | `O(k·n²)` | any kernel |
 //! | [`sorted`] | `O(n² log n)` total (`O(n log n + n·deg + k·deg)` per obs.) | [`PolynomialKernel`]s |
-//! | [`merged`] | `O(n log n + n·(n + k·deg))` total (one global argsort) | [`PolynomialKernel`]s, 1-D `x` |
 //! | [`prefix`] | `O(n log n + n·k·(log n + deg²))` total (window queries over prefix moments) | [`PolynomialKernel`]s, 1-D `x` |
 //! | [`incremental`] | `O(1)` push, `O(W log W + W·k·(log W + deg²))` reselect (a `prefix` run over the window) | [`PolynomialKernel`]s, 1-D `x`, streaming |
 //! | [`parallel`] | same as `sorted`, divided across cores | all of the above |
 //!
-//! `sorted` is the paper's first contribution; `merged` goes one step
-//! further in the bivariate case by replacing the `n` per-observation sorts
-//! with a single global argsort and a two-cursor merge; `prefix` then drops
-//! the per-neighbour scan too, answering each `(observation, bandwidth)`
+//! `sorted` is the paper's first contribution; `prefix` replaces the `n`
+//! per-observation sorts with a single global argsort and drops the
+//! per-neighbour scan too, answering each `(observation, bandwidth)`
 //! cell from compensated global moment prefix sums; `parallel` is the
 //! SPMD parallelisation (executed here with rayon on host cores; the
 //! simulated GPU version lives in the `kcv-gpu` crate).
 //!
-//! Exactness caveat: `sorted` and `merged` classify *and* score
+//! Exactness caveat: `sorted` classifies *and* scores
 //! bit-comparably to `naive` (1e-9-level agreement); `prefix` shares the
 //! bit-identical support classification but its scores carry the
 //! prefix-differencing error documented in [`prefix`] (1e-8-relative
@@ -37,7 +35,6 @@
 //! [`PolynomialKernel`]: crate::kernels::PolynomialKernel
 
 pub mod incremental;
-pub mod merged;
 pub mod naive;
 pub mod parallel;
 pub mod prefix;
@@ -45,17 +42,13 @@ pub mod sorted;
 pub mod sorted_ll;
 
 pub use incremental::SlidingWindowSelector;
-pub use merged::{cv_profile_merged, cv_profile_merged_par};
 pub use naive::{cv_profile_naive, cv_score_single};
 pub use parallel::{cv_profile_naive_par, cv_profile_sorted_par};
 pub use prefix::{
     cv_profile_prefix, cv_profile_prefix_ll, cv_profile_prefix_ll_par, cv_profile_prefix_par,
 };
 pub use sorted::cv_profile_sorted;
-pub use sorted_ll::{
-    cv_profile_merged_ll, cv_profile_merged_ll_par, cv_profile_naive_ll, cv_profile_sorted_ll,
-    cv_profile_sorted_ll_par,
-};
+pub use sorted_ll::{cv_profile_naive_ll, cv_profile_sorted_ll, cv_profile_sorted_ll_par};
 
 use crate::error::{Error, Result};
 

@@ -1,10 +1,10 @@
 //! The prefix-moment sweep — dropping the per-neighbour scan entirely.
 //!
-//! [`super::merged`] removed the per-observation *sort*, but still touches
-//! every `(observation, neighbour)` pair once: its total cost is bounded
-//! below by `n²` neighbour absorptions. For a compactly supported
-//! polynomial kernel that scan is also redundant, because the windowed
-//! power sums the sweep maintains,
+//! [`super::sorted`] sorts every observation's neighbour distances and
+//! then touches every `(observation, neighbour)` pair once: its total cost
+//! is bounded below by `n²` neighbour absorptions plus `n` sorts. For a
+//! compactly supported polynomial kernel both are redundant, because the
+//! windowed power sums the sweep maintains,
 //!
 //! ```text
 //! S_j(i, h) = Σ_{|x_i − x_l| ≤ h·r, l≠i} (x_i − x_l)^j ,
@@ -28,7 +28,7 @@
 //! O(n log n + n·k·(log n + deg²))
 //! ```
 //!
-//! versus the merge-sweep's `O(n log n + n·(n + k·deg))` — this is the
+//! versus the sorted sweep's `O(n² log n)` — this is the
 //! fast-sum-updating idea of Langrené & Warin (2018) pushed one step
 //! further, to closed-form leave-one-out CV over the whole grid.
 //!
@@ -38,7 +38,7 @@
 //! other strategy uses — `(x_i − x_l)·(1/h) ≤ r` on the **original**
 //! coordinates, which is monotone along the sorted sample in IEEE
 //! arithmetic — so which neighbours are in-support (and therefore
-//! `included` and the selected bandwidth) agrees with naive/sorted/merged
+//! `included` and the selected bandwidth) agrees with naive/sorted
 //! exactly. The *scores*, however, come from differences of large prefix
 //! sums, which can cancel catastrophically in sparse windows. Two defences
 //! keep the error at the `1e-8`-relative level the tests pin on the paper
@@ -65,7 +65,7 @@
 //! arbitrarily-accurate reference; see DESIGN.md's numerical-accuracy note
 //! for the full tradeoff.
 //!
-//! Like the merge, the expansion requires a global total order of the
+//! The expansion requires a global total order of the
 //! regressor — one-dimensional `x` — and a polynomial kernel; the sorted
 //! sweep remains the general-position fallback.
 
@@ -75,7 +75,7 @@ use crate::estimate::local_linear::solve_local_linear;
 use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
 use crate::sort::{apply_permutation, argsort};
-use crate::util::NeumaierSum;
+use crate::util::{pascal, NeumaierSum};
 use rayon::prelude::*;
 
 /// The global moment tables: sample sorted ascending by `x`, plus
@@ -142,17 +142,7 @@ impl PrefixTables {
             }
         }
 
-        let bw = max_m + 1;
-        let mut binom = vec![0.0; bw * bw];
-        for j in 0..=max_m {
-            binom[j * bw] = 1.0;
-            for m in 1..=j {
-                binom[j * bw + m] =
-                    binom[(j - 1) * bw + m - 1] + if m < j { binom[(j - 1) * bw + m] } else { 0.0 };
-            }
-        }
-
-        Self { xs, ys, xc, px, py, binom, max_m, n }
+        Self { xs, ys, xc, px, py, binom: pascal(max_m), max_m, n }
     }
 
     /// Writes the windowed moments over sorted index range `[a, b)` into
@@ -231,7 +221,7 @@ impl PrefixScratch {
 /// `hi` in `[hi_prev, n]`. The predicate is the bit-identical
 /// `d·(1/h) ≤ r` every other strategy uses, evaluated on the original
 /// sorted coordinates, so the returned membership set matches
-/// naive/sorted/merged exactly. Costs at most `~2·⌈log₂ n⌉` probes.
+/// naive/sorted exactly. Costs at most `~2·⌈log₂ n⌉` probes.
 #[inline]
 fn support_window(
     xs: &[f64],
@@ -560,8 +550,7 @@ pub fn cv_profile_prefix_ll_par<K: PolynomialKernel + ?Sized>(
 mod tests {
     use super::*;
     use crate::cv::{
-        cv_profile_merged, cv_profile_naive, cv_profile_sorted, sorted_ll::cv_profile_naive_ll,
-        cv_profile_sorted_ll,
+        cv_profile_naive, cv_profile_sorted, cv_profile_sorted_ll, sorted_ll::cv_profile_naive_ll,
     };
     use crate::kernels::{polynomial_kernels, Epanechnikov, Quartic, Triangular, Triweight, Uniform};
     use crate::util::{approx_eq, SplitMix64};
@@ -681,17 +670,15 @@ mod tests {
     }
 
     #[test]
-    fn prefix_argmin_matches_naive_sorted_and_merged() {
+    fn prefix_argmin_matches_naive_and_sorted() {
         for seed in 0..5 {
             let (x, y) = paper_dgp(120, 100 + seed);
             let grid = BandwidthGrid::paper_default(&x, 50).unwrap();
             let a = cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
             let b = cv_profile_naive(&x, &y, &grid, &Epanechnikov).unwrap();
             let c = cv_profile_sorted(&x, &y, &grid, &Epanechnikov).unwrap();
-            let d = cv_profile_merged(&x, &y, &grid, &Epanechnikov).unwrap();
             assert_eq!(a.argmin().unwrap().index, b.argmin().unwrap().index);
             assert_eq!(a.argmin().unwrap().index, c.argmin().unwrap().index);
-            assert_eq!(a.argmin().unwrap().index, d.argmin().unwrap().index);
         }
     }
 

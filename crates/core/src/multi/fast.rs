@@ -74,6 +74,7 @@
 use crate::error::{validate_bandwidth, Error, Result};
 use crate::kernels::{horner, PolynomialKernel};
 use crate::sort::{apply_permutation, argsort};
+use crate::util::pascal;
 use rayon::prelude::*;
 
 /// Scores every bandwidth vector in `h_vectors` with the fast-sum-updating
@@ -201,21 +202,6 @@ fn slide_window(
     while *hi < xs1.len() && (xs1[*hi] - xi) * inv_h1 <= radius {
         *hi += 1;
     }
-}
-
-/// Pascal's triangle flattened to `(deg+1) × (deg+1)`:
-/// `binom[j·(deg+1) + m] = C(j, m)` for `m ≤ j`.
-fn pascal(deg: usize) -> Vec<f64> {
-    let bw = deg + 1;
-    let mut binom = vec![0.0; bw * bw];
-    for j in 0..=deg {
-        binom[j * bw] = 1.0;
-        for m in 1..=j {
-            binom[j * bw + m] =
-                binom[(j - 1) * bw + m - 1] + if m < j { binom[(j - 1) * bw + m] } else { 0.0 };
-        }
-    }
-    binom
 }
 
 /// The d = 2 moment tables, built once and shared read-only by every grid

@@ -17,7 +17,7 @@
 //!   [`BaggedSelector`]'s `bags` is their `N` and `bag_size` is their `r`;
 //! * on each subsample compute the cross-validated bandwidth
 //!   `ĥ_CV(r)` — here one per-bag grid search with any existing engine
-//!   ([`BagEngine`]: naive / sorted / merged / prefix sweep);
+//!   ([`BagEngine`]: naive / sorted / prefix sweep);
 //! * combine the per-bag selections (their `\bar h(r, N)` is the mean;
 //!   a median combiner is provided as a robust alternative —
 //!   [`BagCombiner`]);
@@ -53,9 +53,7 @@
 
 use super::grid_search::{GridSpec, Strategy};
 use super::{BandwidthSelector, Selection};
-use crate::cv::{
-    cv_profile_merged, cv_profile_naive, cv_profile_prefix, cv_profile_sorted, CvProfile,
-};
+use crate::cv::{cv_profile_naive, cv_profile_prefix, cv_profile_sorted, CvProfile};
 use crate::error::{validate_sample, Error, Result};
 use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
@@ -74,8 +72,6 @@ pub enum BagEngine {
     Naive,
     /// The paper's per-observation sort + ascending sweep, `O(r² log r)`.
     SortedSweep,
-    /// One global argsort + two-cursor merge, `O(r log r + r·(r + k))`.
-    MergedSweep,
     /// Window queries over compensated moment prefix sums,
     /// `O(r log r + r·k·(log r + deg²))` — the default: it keeps each bag
     /// at the Langrené & Warin fast-sum-updating cost, so the whole bagged
@@ -89,7 +85,6 @@ impl BagEngine {
         match self {
             BagEngine::Naive => "naive",
             BagEngine::SortedSweep => "sorted",
-            BagEngine::MergedSweep => "merged",
             BagEngine::PrefixMoments => "prefix",
         }
     }
@@ -99,7 +94,6 @@ impl From<Strategy> for BagEngine {
     fn from(s: Strategy) -> Self {
         match s {
             Strategy::SortedSweep => BagEngine::SortedSweep,
-            Strategy::MergedSweep => BagEngine::MergedSweep,
             Strategy::PrefixMoments => BagEngine::PrefixMoments,
         }
     }
@@ -334,7 +328,6 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
         match self.engine {
             BagEngine::Naive => cv_profile_naive(x, y, grid, &self.kernel),
             BagEngine::SortedSweep => cv_profile_sorted(x, y, grid, &self.kernel),
-            BagEngine::MergedSweep => cv_profile_merged(x, y, grid, &self.kernel),
             BagEngine::PrefixMoments => cv_profile_prefix(x, y, grid, &self.kernel),
         }
     }
@@ -524,7 +517,6 @@ mod tests {
         let (x, y) = paper_dgp(400, 13);
         for (engine, reference) in [
             (BagEngine::SortedSweep, SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(30))),
-            (BagEngine::MergedSweep, SortedGridSearch::merged(Epanechnikov, GridSpec::PaperDefault(30))),
             (BagEngine::PrefixMoments, SortedGridSearch::prefix(Epanechnikov, GridSpec::PaperDefault(30))),
         ] {
             let bagged = BaggedSelector::new(Epanechnikov, GridSpec::PaperDefault(30), 1, x.len())

@@ -2,8 +2,8 @@
 
 use super::{BandwidthSelector, Selection};
 use crate::cv::{
-    cv_profile_merged, cv_profile_merged_par, cv_profile_naive, cv_profile_naive_par,
-    cv_profile_prefix, cv_profile_prefix_par, cv_profile_sorted, cv_profile_sorted_par, CvProfile,
+    cv_profile_naive, cv_profile_naive_par, cv_profile_prefix, cv_profile_prefix_par,
+    cv_profile_sorted, cv_profile_sorted_par, CvProfile,
 };
 use crate::error::Result;
 use crate::grid::BandwidthGrid;
@@ -25,11 +25,6 @@ pub enum Strategy {
     /// `x` exists.
     #[default]
     SortedSweep,
-    /// One global `O(n log n)` argsort of `x`, then a two-cursor merge per
-    /// observation: `O(n log n + n·(n + k))` total, no per-observation
-    /// sort. Requires a one-dimensional regressor (the only case the CV
-    /// profile currently covers).
-    MergedSweep,
     /// One global argsort plus compensated prefix sums of `x^m`/`y·x^m`,
     /// then per `(observation, bandwidth)` cell a binary-search support
     /// window and an `O(deg²)` binomial assembly:
@@ -109,54 +104,10 @@ impl<K: PolynomialKernel> SortedGridSearch<K> {
         Self { kernel, grid, strategy: Strategy::SortedSweep, parallel: true, min_included: 1 }
     }
 
-    /// Sequential merge-sweep grid search ([`Strategy::MergedSweep`]): the
-    /// per-observation sort replaced by one global argsort and a two-cursor
-    /// merge — `O(n log n + n·(n + k))` instead of `O(n² log n)`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use kcv_core::prelude::*;
-    /// use kcv_core::select::Strategy;
-    ///
-    /// // Paper DGP: X ~ U(0,1), Y = 0.5X + 10X² + u.
-    /// let mut rng = kcv_core::util::SplitMix64::new(42);
-    /// let x: Vec<f64> = (0..300).map(|_| rng.next_f64()).collect();
-    /// let y: Vec<f64> = x.iter()
-    ///     .map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * rng.next_f64())
-    ///     .collect();
-    ///
-    /// // The merge-sweep selects the same bandwidth as the paper's sorted
-    /// // sweep — it computes the same objective, minus the n sorts.
-    /// let sorted = SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(50))
-    ///     .select(&x, &y)
-    ///     .unwrap();
-    /// let merged = SortedGridSearch::merged(Epanechnikov, GridSpec::PaperDefault(50))
-    ///     .select(&x, &y)
-    ///     .unwrap();
-    /// assert_eq!(sorted.bandwidth, merged.bandwidth);
-    ///
-    /// // The builder form reaches the same path.
-    /// let built = SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(50))
-    ///     .with_strategy(Strategy::MergedSweep)
-    ///     .select(&x, &y)
-    ///     .unwrap();
-    /// assert_eq!(built.bandwidth, merged.bandwidth);
-    /// ```
-    pub fn merged(kernel: K, grid: GridSpec) -> Self {
-        Self { kernel, grid, strategy: Strategy::MergedSweep, parallel: false, min_included: 1 }
-    }
-
-    /// Parallel merge-sweep grid search (rayon over observations after the
-    /// shared global argsort).
-    pub fn merged_parallel(kernel: K, grid: GridSpec) -> Self {
-        Self { kernel, grid, strategy: Strategy::MergedSweep, parallel: true, min_included: 1 }
-    }
-
     /// Sequential prefix-moment grid search ([`Strategy::PrefixMoments`]):
     /// the per-neighbour scan replaced by window queries over global
     /// compensated moment prefix sums — `O(n log n + n·k·(log n + deg²))`
-    /// instead of the merge-sweep's `O(n log n + n·(n + k·deg))`.
+    /// instead of the sorted sweep's `O(n² log n)`.
     ///
     /// # Examples
     ///
@@ -211,8 +162,6 @@ impl<K: PolynomialKernel> SortedGridSearch<K> {
         match (self.strategy, self.parallel) {
             (Strategy::SortedSweep, false) => cv_profile_sorted(x, y, &grid, &self.kernel),
             (Strategy::SortedSweep, true) => cv_profile_sorted_par(x, y, &grid, &self.kernel),
-            (Strategy::MergedSweep, false) => cv_profile_merged(x, y, &grid, &self.kernel),
-            (Strategy::MergedSweep, true) => cv_profile_merged_par(x, y, &grid, &self.kernel),
             (Strategy::PrefixMoments, false) => cv_profile_prefix(x, y, &grid, &self.kernel),
             (Strategy::PrefixMoments, true) => cv_profile_prefix_par(x, y, &grid, &self.kernel),
         }
@@ -259,7 +208,6 @@ impl<K: PolynomialKernel> BandwidthSelector for SortedGridSearch<K> {
             "{}-grid-{}-{}",
             match self.strategy {
                 Strategy::SortedSweep => "sorted",
-                Strategy::MergedSweep => "merged",
                 Strategy::PrefixMoments => "prefix",
             },
             if self.parallel { "par" } else { "seq" },
@@ -419,27 +367,12 @@ mod tests {
     }
 
     #[test]
-    fn merged_strategy_agrees_with_sorted_and_naive() {
-        let (x, y) = paper_dgp(180, 37);
-        let spec = GridSpec::PaperDefault(50);
-        let sorted = SortedGridSearch::new(Epanechnikov, spec.clone()).select(&x, &y).unwrap();
-        let merged = SortedGridSearch::merged(Epanechnikov, spec.clone()).select(&x, &y).unwrap();
-        let merged_par =
-            SortedGridSearch::merged_parallel(Epanechnikov, spec.clone()).select(&x, &y).unwrap();
-        let naive = NaiveGridSearch::new(Epanechnikov, spec).select(&x, &y).unwrap();
-        assert!((merged.bandwidth - sorted.bandwidth).abs() < 1e-12);
-        assert!((merged.bandwidth - naive.bandwidth).abs() < 1e-12);
-        assert!((merged.bandwidth - merged_par.bandwidth).abs() < 1e-12);
-        assert_eq!(merged.evaluations, 50);
-    }
-
-    #[test]
     fn with_strategy_builder_switches_the_sweep() {
         let (x, y) = paper_dgp(120, 38);
         let spec = GridSpec::PaperDefault(30);
-        let direct = SortedGridSearch::merged(Epanechnikov, spec.clone()).select(&x, &y).unwrap();
+        let direct = SortedGridSearch::prefix(Epanechnikov, spec.clone()).select(&x, &y).unwrap();
         let built = SortedGridSearch::new(Epanechnikov, spec)
-            .with_strategy(Strategy::MergedSweep)
+            .with_strategy(Strategy::PrefixMoments)
             .select(&x, &y)
             .unwrap();
         assert_eq!(direct.bandwidth, built.bandwidth);
@@ -537,14 +470,6 @@ mod tests {
         assert_eq!(
             NaiveGridSearch::parallel(Gaussian, GridSpec::PaperDefault(5)).name(),
             "naive-grid-par-gaussian"
-        );
-        assert_eq!(
-            SortedGridSearch::merged(Epanechnikov, GridSpec::PaperDefault(5)).name(),
-            "merged-grid-seq-epanechnikov"
-        );
-        assert_eq!(
-            SortedGridSearch::merged_parallel(Epanechnikov, GridSpec::PaperDefault(5)).name(),
-            "merged-grid-par-epanechnikov"
         );
         assert_eq!(
             SortedGridSearch::prefix(Epanechnikov, GridSpec::PaperDefault(5)).name(),

@@ -101,6 +101,29 @@ impl NeumaierSum {
     }
 }
 
+/// Pascal's triangle flattened to `(max_m+1) × (max_m+1)`:
+/// `binom[j·(max_m+1) + m] = C(j, m)` for `m ≤ j`, zero above the
+/// diagonal. The binomial table every prefix-moment engine (1-D prefix
+/// sweep, d = 2 fast sum updating, windowed GPU) recombines window
+/// moments with.
+///
+/// ```
+/// let b = kcv_core::util::pascal(3);
+/// assert_eq!(&b[12..16], &[1.0, 3.0, 3.0, 1.0]);
+/// ```
+pub fn pascal(max_m: usize) -> Vec<f64> {
+    let bw = max_m + 1;
+    let mut binom = vec![0.0; bw * bw];
+    for j in 0..=max_m {
+        binom[j * bw] = 1.0;
+        for m in 1..=j {
+            binom[j * bw + m] =
+                binom[(j - 1) * bw + m - 1] + if m < j { binom[(j - 1) * bw + m] } else { 0.0 };
+        }
+    }
+    binom
+}
+
 /// Returns the min and max of a slice, ignoring nothing (inputs are assumed
 /// finite; validate first). Returns `None` for an empty slice.
 pub fn min_max(xs: &[f64]) -> Option<(f64, f64)> {

@@ -7,8 +7,8 @@
 #![cfg(feature = "metrics")]
 
 use kcv_core::cv::{
-    cv_profile_merged, cv_profile_merged_par, cv_profile_naive, cv_profile_naive_par,
-    cv_profile_prefix, cv_profile_prefix_par, cv_profile_sorted, cv_profile_sorted_par,
+    cv_profile_naive, cv_profile_naive_par, cv_profile_prefix, cv_profile_prefix_par,
+    cv_profile_sorted, cv_profile_sorted_par,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
@@ -135,71 +135,35 @@ fn paper_dgp(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
 }
 
 #[test]
-fn merged_sweep_sort_comparisons_are_one_global_argsort() {
+fn prefix_sweep_sort_comparisons_are_one_global_argsort() {
     let (x, y) = paper_dgp(400, 51);
     let n = x.len() as u64;
     let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
 
-    let merged_cmps = record(|| {
-        cv_profile_merged(&x, &y, &grid, &Epanechnikov).unwrap();
+    let prefix_cmps = record(|| {
+        cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
     })
     .get(Counter::SortComparisons);
 
-    // The merge-sweep's only comparison sort is the single global argsort
+    // The prefix sweep's only comparison sort is the single global argsort
     // of x: O(n log n), never O(n² log n). std's stable sort does at most
     // ~n·log2(n) comparisons plus lower-order terms; 3·n·log2(n) is a safe
     // hard ceiling, and n² is unreachable by two orders of magnitude.
     let log2n = (n as f64).log2().ceil() as u64;
     assert!(
-        merged_cmps <= 3 * n * log2n,
-        "merged did {merged_cmps} comparisons, ceiling {}",
+        prefix_cmps <= 3 * n * log2n,
+        "prefix did {prefix_cmps} comparisons, ceiling {}",
         3 * n * log2n
     );
-    assert!(merged_cmps >= n - 1, "a real sort must compare: {merged_cmps}");
+    assert!(prefix_cmps >= n - 1, "a real sort must compare: {prefix_cmps}");
 }
 
+/// At `n = 2000, k = 100` the whole profile's sort comparisons drop by
+/// ≥ 100× versus the sorted sweep (one global `O(n log n)` argsort versus
+/// `n` per-observation `O(n log n)` sorts — the asymptotic gap is a factor
+/// of ~n).
 #[test]
-fn merged_sweep_kernel_evals_equal_sorted_sweep() {
-    let (x, y) = paper_dgp(300, 52);
-    let n = x.len() as u64;
-    let grid = BandwidthGrid::paper_default(&x, 40).unwrap();
-
-    let sorted = record(|| {
-        cv_profile_sorted(&x, &y, &grid, &Epanechnikov).unwrap();
-    });
-    let merged = record(|| {
-        cv_profile_merged(&x, &y, &grid, &Epanechnikov).unwrap();
-    });
-
-    // The support predicate `d·(1/h) ≤ r` is bitwise-identical between the
-    // two sweeps, so the absorbed-neighbour (KernelEvals) and skipped-term
-    // totals must agree exactly — only the sort comparisons differ.
-    assert_eq!(merged.get(Counter::KernelEvals), sorted.get(Counter::KernelEvals));
-    assert_eq!(merged.get(Counter::LooTermsSkipped), sorted.get(Counter::LooTermsSkipped));
-    assert!(merged.get(Counter::KernelEvals) <= n * (n - 1));
-}
-
-#[test]
-fn merged_parallel_counts_the_same_totals_as_sequential() {
-    let (x, y) = paper_dgp(200, 53);
-    let grid = BandwidthGrid::paper_default(&x, 25).unwrap();
-
-    let seq = record(|| {
-        cv_profile_merged(&x, &y, &grid, &Epanechnikov).unwrap();
-    });
-    let par = record(|| {
-        cv_profile_merged_par(&x, &y, &grid, &Epanechnikov).unwrap();
-    });
-    assert_eq!(par.get(Counter::KernelEvals), seq.get(Counter::KernelEvals));
-    assert_eq!(par.get(Counter::SortComparisons), seq.get(Counter::SortComparisons));
-}
-
-/// The acceptance bound of the merge-sweep PR: at `n = 2000, k = 100` the
-/// whole profile's sort comparisons drop by ≥ 100× versus the sorted sweep
-/// (one global `O(n log n)` argsort versus `n` per-observation
-/// `O(n log n)` sorts — the asymptotic gap is a factor of ~n).
-#[test]
-fn merged_sweep_cuts_sort_comparisons_by_at_least_100x_at_n2000() {
+fn prefix_sweep_cuts_sort_comparisons_by_at_least_100x_at_n2000() {
     let (x, y) = paper_dgp(2_000, 54);
     let grid = BandwidthGrid::paper_default(&x, 100).unwrap();
 
@@ -208,34 +172,17 @@ fn merged_sweep_cuts_sort_comparisons_by_at_least_100x_at_n2000() {
     })
     .get(Counter::SortComparisons);
 
-    let merged_cmps = record(|| {
-        cv_profile_merged(&x, &y, &grid, &Epanechnikov).unwrap();
+    let prefix_cmps = record(|| {
+        cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
     })
     .get(Counter::SortComparisons);
 
-    assert!(merged_cmps > 0, "the global argsort must be counted");
+    assert!(prefix_cmps > 0, "the global argsort must be counted");
     assert!(
-        sorted_cmps >= 100 * merged_cmps,
-        "expected ≥100× drop, got {sorted_cmps} vs {merged_cmps} ({}×)",
-        sorted_cmps / merged_cmps.max(1)
+        sorted_cmps >= 100 * prefix_cmps,
+        "expected ≥100× drop, got {sorted_cmps} vs {prefix_cmps} ({}×)",
+        sorted_cmps / prefix_cmps.max(1)
     );
-}
-
-#[test]
-fn merged_phase_timers_cover_argsort_and_merge() {
-    let (x, y) = paper_dgp(50, 55);
-    let grid = BandwidthGrid::paper_default(&x, 10).unwrap();
-
-    let snap = record(|| {
-        cv_profile_merged(&x, &y, &grid, &Epanechnikov).unwrap();
-    })
-    .snapshot();
-    let argsort = snap.phases.iter().find(|p| p.name == "cv.argsort").expect("cv.argsort phase");
-    assert_eq!(argsort.calls, 1, "exactly one global argsort");
-    let merge = snap.phases.iter().find(|p| p.name == "cv.merge").expect("cv.merge phase");
-    assert_eq!(merge.calls, 1);
-    // No per-observation sort phase: the merge-sweep never enters cv.sort.
-    assert!(snap.phases.iter().all(|p| p.name != "cv.sort"));
 }
 
 #[test]
@@ -293,8 +240,8 @@ fn prefix_phase_timers_cover_argsort_prefix_and_window() {
     assert_eq!(build.calls, 1, "tables built once");
     let window = snap.phases.iter().find(|p| p.name == "cv.window").expect("cv.window phase");
     assert_eq!(window.calls, 1);
-    // Neither the per-observation sort nor the merge phase ever runs.
-    assert!(snap.phases.iter().all(|p| p.name != "cv.sort" && p.name != "cv.merge"));
+    // The per-observation sort phase never runs.
+    assert!(snap.phases.iter().all(|p| p.name != "cv.sort"));
 }
 
 #[test]

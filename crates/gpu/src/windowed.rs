@@ -59,6 +59,7 @@ use crate::gpu_kernel_type::{GpuKernel, MAX_DEVICE_DEGREE};
 use kcv_core::error::validate_sample;
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::sort::{apply_permutation, argsort};
+use kcv_core::util::pascal;
 use kcv_gpu_sim::{
     device_support_window, launch_independent_map, min_payload_reduction, sum_reduction,
     ConstantMemory, LaunchConfig, LaunchReport, MemoryPool, ThreadCounters,
@@ -167,23 +168,13 @@ impl WindowedTables {
             }
         }
 
-        let bw = deg + 1;
-        let mut binom = vec![0.0f64; bw * bw];
-        for j in 0..=deg {
-            binom[j * bw] = 1.0;
-            for m in 1..=j {
-                binom[j * bw + m] =
-                    binom[(j - 1) * bw + m - 1] + if m < j { binom[(j - 1) * bw + m] } else { 0.0 };
-            }
-        }
-
         Self {
             xs32: xs.iter().map(|&v| v as f32).collect(),
             ys32: ys.iter().map(|&v| v as f32).collect(),
             center,
             px,
             py,
-            binom,
+            binom: pascal(deg),
         }
     }
 

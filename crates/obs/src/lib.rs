@@ -20,13 +20,12 @@
 //!
 //! ## Scoped recorders
 //!
-//! Counts land in two places: a process-wide **global aggregate** (what
-//! [`get`]/[`snapshot`] read) and, when one is installed, the innermost
-//! **[`Recorder`]** on the current thread's scope stack. A recorder owns its
-//! own counter array and phase table, so two instrumented runs in one
-//! process — concurrent tests, a batch-selection service handling parallel
-//! requests — each see exactly their own operations instead of an
-//! interleaved global delta:
+//! Counts land in the innermost **[`Recorder`]** on the current thread's
+//! scope stack, and nowhere when none is installed: there is no
+//! process-wide aggregate. A recorder owns its own counter array and phase
+//! table, so two instrumented runs in one process — concurrent tests, a
+//! batch-selection service handling parallel requests — each see exactly
+//! their own operations instead of an interleaved global delta:
 //!
 //! ```
 //! use kcv_obs::{add, phase, Counter, LocalCounter, Recorder};
@@ -75,7 +74,7 @@
 //! per-subsample `cv.bag` phase (one scope per bag, bags spread across
 //! workers) are the canonical examples. [`Snapshot::to_json`] therefore labels the field
 //! `cpu_seconds`, not `seconds`. The workspace convention: top-level
-//! parallel regions (`cv.sweep`, `cv.merge`, `cv.window`, `cv.naive`,
+//! parallel regions (`cv.sweep`, `cv.window`, `cv.naive`,
 //! `cv.multi`, `gpu.launch`) are timed **once on the calling thread**, so their
 //! `cpu_seconds` approximates wall time; phases opened inside worker
 //! closures accumulate CPU time across workers. Wall-clock per strategy is
@@ -332,12 +331,11 @@ mod imp {
     use std::cell::RefCell;
     use std::marker::PhantomData;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
+    use std::sync::{Arc, Mutex};
     use std::time::Instant;
 
-    /// One counter array plus one phase table. Both the process-wide global
-    /// aggregate and every [`Recorder`] are instances of this shape, so a
-    /// write costs the same wherever it lands.
+    /// One counter array plus one phase table: the storage behind every
+    /// [`Recorder`].
     struct Store {
         counters: [AtomicU64; NUM_COUNTERS],
         phases: Mutex<Vec<PhaseStat>>,
@@ -366,13 +364,6 @@ mod imp {
             self.counters[counter as usize].load(Ordering::Relaxed)
         }
 
-        fn reset(&self) {
-            for c in &self.counters {
-                c.store(0, Ordering::Relaxed);
-            }
-            self.phases.lock().expect("phase registry poisoned").clear();
-        }
-
         fn record_phase(&self, name: &'static str, nanos: u64) {
             let mut ps = self.phases.lock().expect("phase registry poisoned");
             if let Some(p) = ps.iter_mut().find(|p| p.name == name) {
@@ -391,16 +382,9 @@ mod imp {
         }
     }
 
-    /// The process-wide aggregate every write falls through to.
-    fn global() -> &'static Store {
-        static GLOBAL: OnceLock<Store> = OnceLock::new();
-        GLOBAL.get_or_init(Store::new)
-    }
-
     thread_local! {
         /// The scope stack: recorders installed on this thread, innermost
-        /// last. Writes go to the innermost entry (plus the global
-        /// aggregate).
+        /// last. Writes go to the innermost entry.
         static SCOPES: RefCell<Vec<Arc<Store>>> = const { RefCell::new(Vec::new()) };
     }
 
@@ -417,9 +401,9 @@ mod imp {
 
     /// A scoped metric sink: a private counter array and phase table that
     /// receive every instrumentation event issued while the recorder is
-    /// [installed](Recorder::install) (events also fall through to the
-    /// global aggregate). Cloning is shallow — clones share the same
-    /// storage, which is how a recorder handle travels into rayon workers.
+    /// [installed](Recorder::install). Cloning is shallow — clones share
+    /// the same storage, which is how a recorder handle travels into rayon
+    /// workers.
     #[derive(Clone)]
     pub struct Recorder {
         store: Arc<Store>,
@@ -433,9 +417,8 @@ mod imp {
 
         /// Installs the recorder as the innermost scope on the *current
         /// thread* until the returned guard drops. Nesting is allowed;
-        /// events go to the innermost installed recorder only (plus the
-        /// global aggregate). The guard is `!Send`: it must drop on the
-        /// thread that created it.
+        /// events go to the innermost installed recorder only. The guard
+        /// is `!Send`: it must drop on the thread that created it.
         #[must_use = "the recorder only receives events while this guard is alive"]
         pub fn install(&self) -> ScopeGuard {
             push_scope(Arc::clone(&self.store))
@@ -521,7 +504,6 @@ mod imp {
     #[inline]
     pub fn add(counter: Counter, n: u64) {
         if n > 0 {
-            global().add(counter, n);
             if let Some(r) = current() {
                 r.add(counter, n);
             }
@@ -531,31 +513,16 @@ mod imp {
     #[inline]
     pub fn record_max(counter: Counter, v: u64) {
         if v > 0 {
-            global().max(counter, v);
             if let Some(r) = current() {
                 r.max(counter, v);
             }
         }
     }
 
-    #[inline]
-    pub fn get(counter: Counter) -> u64 {
-        global().get(counter)
-    }
-
-    pub fn reset() {
-        global().reset();
-    }
-
-    pub fn record_phase(name: &'static str, nanos: u64) {
-        global().record_phase(name, nanos);
+    fn record_phase(name: &'static str, nanos: u64) {
         if let Some(r) = current() {
             r.record_phase(name, nanos);
         }
-    }
-
-    pub fn snapshot() -> Snapshot {
-        global().snapshot()
     }
 
     /// RAII phase scope.
@@ -617,19 +584,6 @@ mod imp {
 
     #[inline(always)]
     pub fn record_max(_counter: Counter, _v: u64) {}
-
-    #[inline(always)]
-    pub fn get(_counter: Counter) -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn reset() {}
-
-    #[inline(always)]
-    pub fn snapshot() -> Snapshot {
-        Snapshot::default()
-    }
 
     /// Inert recorder (metrics disabled): installing it does nothing and
     /// its snapshot is always empty.
@@ -738,9 +692,8 @@ pub use imp::Scope;
 /// [`Scope::enter`]); `!Send`, pops the scope stack on drop.
 pub use imp::ScopeGuard;
 
-/// Adds `n` to a counter: the innermost installed [`Recorder`] on this
-/// thread (if any) and the global aggregate both receive it. A no-op
-/// without the `metrics` feature.
+/// Adds `n` to a counter of the innermost installed [`Recorder`] on this
+/// thread (if any). A no-op without the `metrics` feature.
 #[inline(always)]
 pub fn add(counter: Counter, n: u64) {
     imp::add(counter, n);
@@ -748,46 +701,23 @@ pub fn add(counter: Counter, n: u64) {
 
 /// Raises a **max-semantics** counter (e.g. [`Counter::QueueHighWater`]) to
 /// at least `v`: the innermost installed [`Recorder`] on this thread (if
-/// any) and the global aggregate both take `max(current, v)` instead of
-/// adding. Such counters aggregate across recorders by maximum, not sum. A
-/// no-op without the `metrics` feature.
+/// any) takes `max(current, v)` instead of adding. Such counters aggregate
+/// across recorders by maximum, not sum. A no-op without the `metrics`
+/// feature.
 #[inline(always)]
 pub fn record_max(counter: Counter, v: u64) {
     imp::record_max(counter, v);
-}
-
-/// Current value of a counter in the **global aggregate** (always `0`
-/// without the `metrics` feature). Prefer [`Recorder::get`] for per-run
-/// values — the global aggregate interleaves every instrumented run in the
-/// process.
-#[inline(always)]
-pub fn get(counter: Counter) -> u64 {
-    imp::get(counter)
-}
-
-/// Clears every counter and phase timer in the **global aggregate**.
-/// Installed [`Recorder`]s are unaffected.
-#[inline(always)]
-pub fn reset() {
-    imp::reset();
 }
 
 /// Starts timing a named phase; the scope ends when the returned guard
 /// drops. Nested and concurrent scopes of the same name accumulate — see
 /// the crate-level *Phase-timer semantics* for why concurrent scopes sum
 /// to CPU time. The elapsed time is recorded against the innermost
-/// [`Recorder`] installed *when the guard drops*, plus the global
-/// aggregate.
+/// [`Recorder`] installed *when the guard drops* (and dropped when none
+/// is).
 #[inline(always)]
 pub fn phase(name: &'static str) -> PhaseGuard {
     imp::phase(name)
-}
-
-/// Copies the current **global aggregate** counters and phase timers.
-/// Prefer [`Recorder::snapshot`] for per-run values.
-#[inline(always)]
-pub fn snapshot() -> Snapshot {
-    imp::snapshot()
 }
 
 /// Captures the innermost [`Recorder`] installed on the current thread as
@@ -929,30 +859,24 @@ mod tests {
         assert_eq!(totals, vec![500, 1000, 1500, 2000]);
     }
 
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn global_aggregate_still_accumulates() {
-        // The free functions keep working against the global aggregate —
-        // deltas only, since other tests run concurrently against it.
-        let before = get(Counter::GpuSimCycles);
-        add(Counter::GpuSimCycles, 17);
-        assert!(get(Counter::GpuSimCycles) >= before + 17);
-        assert!(snapshot().counter("gpu_sim_cycles") >= before + 17);
-    }
-
     #[cfg(not(feature = "metrics"))]
     #[test]
     fn disabled_metrics_are_inert() {
-        add(Counter::KernelEvals, 99);
-        assert_eq!(get(Counter::KernelEvals), 0);
-        assert!(snapshot().counters.is_empty());
         assert!(!enabled());
 
         let run = Recorder::new();
         let _g = run.install();
         add(Counter::KernelEvals, 99);
+        record_max(Counter::QueueHighWater, 7);
+        {
+            let mut local = LocalCounter::new(Counter::SortComparisons);
+            local.incr(3);
+            let _p = phase("test.phase");
+        }
         assert_eq!(run.get(Counter::KernelEvals), 0);
+        assert_eq!(run.get(Counter::QueueHighWater), 0);
         assert!(run.snapshot().counters.is_empty());
+        assert!(run.snapshot().phases.is_empty());
         let _in = scope().enter();
     }
 }
